@@ -5,7 +5,6 @@ Produces:
   census-n{0..7}.json     exhaustive labeled/unlabeled class censuses
   unlabeled-split.json    oracle values s~_0..s~_7 (base for unlabeled chains)
   thresholds.json         empirically pinned "large enough n" thresholds
-  bp-cache.json           double-sum split counts for n <= 318 (advisory cache)
 
 Run from the repository root:  python scripts/generate_goldens.py
 """
@@ -25,7 +24,7 @@ from splitspecies.asymptotics import (
     u_over_s_bound_violations,
     u_over_s_monotone_from,
 )
-from splitspecies.counting import CountTable, bicolored_labeled, split_labeled_bp
+from splitspecies.counting import bicolored_labeled
 from splitspecies.enumeration import ClassTag, class_census, write_census_files
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "testdata")
@@ -66,13 +65,6 @@ def main():
         json.dump(thresholds, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"thresholds: {time.time() - t0:.1f}s  {thresholds['split_ratio_threshold']=}")
-
-    t0 = time.time()
-    table = CountTable("split/labeled/double-sum")
-    for n in range(1, 319):
-        table.put(n, split_labeled_bp(n), "double-sum")
-    table.save(os.path.join(OUT, "bp-cache.json"))
-    print(f"double-sum cache to 318: {time.time() - t0:.1f}s")
 
 
 if __name__ == "__main__":

@@ -94,7 +94,6 @@ from .series import (
     named,
 )
 from .counting import (
-    CountTable,
     CrossCheckReport,
     bicolored_labeled,
     cross_check,

@@ -20,6 +20,7 @@ from math import comb, factorial
 import mpmath
 
 from .counting import bicolored_labeled, split_labeled
+from .errors import TooLarge
 from .series import derive_labeled_chain
 
 DEFAULT_BITS = 256
@@ -205,7 +206,7 @@ def ratio_report(n_max: int, bits: int = DEFAULT_BITS,
     b~_n * n!/b_n column.
     """
     if n_max > MAX_REPORT_N:
-        raise ValueError(f"report capped at n <= {MAX_REPORT_N}")
+        raise TooLarge(f"report capped at n <= {MAX_REPORT_N}")
     chain = derive_labeled_chain(max(n_max, 8))
     u = chain["U"].counts()
     s = chain["S"].counts()

@@ -7,15 +7,13 @@ error, 3 invalid input (too large, not a split graph, wrong class, ...).
 Counts are printed as decimal strings, since they overflow 64-bit integers
 almost immediately.  Identical invocations produce byte-identical output; the
 ``verify --suite identities`` report in particular contains no timing and is
-stable across runs (the env var SPLIT_SPECIES_THREADS, which caps internal
-parallelism, cannot change any output either).
+stable across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -48,14 +46,15 @@ _CHAIN_KEYS = {
 }
 
 
-def _labeled_count(tag: ClassTag, n: int) -> int:
+def _labeled_counts(tag: ClassTag, ns) -> dict[int, int]:
+    if tag in _CHAIN_KEYS:  # one chain, built at the largest size asked for
+        counts = counting.chain_count(_CHAIN_KEYS[tag], max(ns), upto=True) if ns else []
+        return {n: counts[n] for n in ns}
     if tag is ClassTag.SPLIT:
-        return counting.split_labeled(n)
+        return {n: counting.split_labeled(n) for n in ns}
     if tag is ClassTag.BICOLORED:
-        return counting.bicolored_labeled(n)
-    if tag is ClassTag.ALL_GRAPHS:
-        return 1 << (n * (n - 1) // 2)
-    return counting.chain_count(_CHAIN_KEYS[tag], n)
+        return {n: counting.bicolored_labeled(n) for n in ns}
+    return {n: 1 << (n * (n - 1) // 2) for n in ns}  # all graphs
 
 
 def _structure_json(obj) -> dict:
@@ -77,12 +76,10 @@ def _emit_json(data) -> None:
 def _cmd_count(args) -> int:
     tag = ClassTag(args.klass)
     ns = range(args.max_n + 1) if args.n is None else [args.n]
-    values = {}
-    for n in ns:
-        if args.unlabeled:
-            values[n] = count_unlabeled(n, tag)
-        else:
-            values[n] = _labeled_count(tag, n)
+    if args.unlabeled:
+        values = {n: count_unlabeled(n, tag) for n in ns}
+    else:
+        values = _labeled_counts(tag, ns)
     kind = "unlabeled" if args.unlabeled else "labeled"
     if args.format == "json":
         _emit_json({"class": tag.value, "kind": kind,
@@ -266,14 +263,7 @@ def _cmd_verify(args) -> int:
 
     if args.suite == "formulas":
         max_n = 318 if args.max_n is None else args.max_n
-        cache = None
-        if args.cache and os.path.exists(args.cache):
-            cache = counting.CountTable.load(args.cache)
-        elif args.cache:
-            cache = counting.CountTable("split/labeled/double-sum")
-        report = counting.cross_check(max_n, bp_cache=cache)
-        if args.cache and cache is not None:
-            cache.save(args.cache)
+        report = counting.cross_check(max_n)
         if args.format == "json":
             _emit_json(report.to_json())
         else:
@@ -355,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=1000)
-    p.add_argument("--cache", help="advisory JSON cache file for the formulas suite")
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.set_defaults(func=_cmd_verify)
 
@@ -369,14 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # The env var caps internal parallelism; all computation is deterministic
-    # regardless of its value, and the current implementation runs serially.
-    threads = os.environ.get("SPLIT_SPECIES_THREADS")
-    if threads is not None:
-        try:
-            _ = max(1, int(threads))
-        except ValueError:
-            print(f"ignoring invalid SPLIT_SPECIES_THREADS={threads!r}", file=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -9,9 +9,11 @@ Two independent formulas count labeled split graphs:
       1 + sum_{k=2}^n C(n,k) [ (2^k - 1)^{n-k}
             - sum_{j=1}^{n-k} (jk/(j+1)) C(n-k,j) (2^{k-1} - 1)^{n-k-j} ]
 
-  whose inner terms are genuinely fractional; it is evaluated with exact
-  rational bookkeeping (a common denominator lcm(2..n-k+1) per k) and the
-  final value is asserted integral.
+  whose inner terms are genuinely fractional.  It is evaluated term by term
+  in integers: the identities C(m,j)/(j+1) = C(m+1,j+1)/(m+1) and
+  C(n,k)/(n-k+1) = C(n+1,k)/(n+1) put every fractional term over the one
+  denominator n + 1, the inner j-sum runs by Horner's rule in 2^{k-1} - 1,
+  and the fractional part's numerator must divide by n + 1 exactly.
 
 ``cross_check`` compares the two for every n up to a bound -- hundreds of
 orders in a few seconds -- and also compares all formula- and series-derived
@@ -20,15 +22,12 @@ counts against the exhaustive enumeration oracle at small n.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm
+from dataclasses import dataclass
+from math import comb
 
-from .errors import NonIntegralResult
-from .series import decimal, derive_labeled_chain, derive_unlabeled_chain, parse_decimal
+from .errors import NonIntegralResult, TooLarge
+from .series import decimal, derive_labeled_chain, derive_unlabeled_chain
 
 
 def bicolored_labeled(n: int) -> int:
@@ -47,15 +46,6 @@ def split_labeled(n: int) -> int:
     return bicolored_labeled(n) - n * bicolored_labeled(n - 1)
 
 
-@lru_cache(maxsize=2)
-def _lcm_table(limit: int) -> list[int]:
-    """table[m] = lcm(2..m+1); table[0] = 1."""
-    out = [1] * (limit + 1)
-    for m in range(1, limit + 1):
-        out[m] = lcm(out[m - 1], m + 1)
-    return out
-
-
 def split_labeled_bp(n: int) -> int:
     """Labeled split graphs by the double-sum formula, term by exact term.
 
@@ -64,40 +54,33 @@ def split_labeled_bp(n: int) -> int:
     """
     if n < 1:
         raise ValueError("the double-sum formula needs n >= 1")
-    ltab = _lcm_table(n)
-    total = Fraction(1)
+    whole = 1
+    frac = 0  # the fractional terms, all over the one denominator n + 1
     for k in range(2, n + 1):
         m = n - k
-        big_a = (1 << k) - 1
-        big_b = (1 << (k - 1)) - 1
-        lm = ltab[m]
-        acc = 0
-        pw = 1  # big_b ** (m - j), built up as j descends
-        c = 1   # C(m, j), updated incrementally
-        for j in range(m, 0, -1):
-            acc += (lm // (j + 1)) * j * c * pw
-            pw *= big_b
-            c = c * j // (m - j + 1)
-        inner = Fraction(k * acc, lm)
-        total += comb(n, k) * (Fraction(big_a**m) - inner)
-    if total.denominator != 1:
-        raise NonIntegralResult(f"double-sum total for n={n} is {total}")
-    return total.numerator
+        whole += comb(n, k) * ((1 << k) - 1) ** m
+        acc = 0  # sum_j j C(m+1, j+1) (2^{k-1} - 1)^{m-j}, by Horner's rule
+        c = m + 1  # C(m+1, j) before the update below, C(m+1, j+1) after it
+        for j in range(1, m + 1):
+            c = c * (m + 1 - j) // (j + 1)
+            acc = (acc << (k - 1)) - acc + j * c  # acc * (2^{k-1} - 1) + term
+        frac += k * comb(n + 1, k) * acc
+    quotient, remainder = divmod(frac, n + 1)
+    if remainder:
+        raise NonIntegralResult(f"double-sum total for n={n} leaves remainder "
+                                f"{remainder} mod {n + 1}")
+    return whole - quotient
 
 
-@lru_cache(maxsize=8)
-def _chain(order: int):
-    return derive_labeled_chain(order)
+def chain_count(key: str, n: int, *, upto: bool = False) -> int | list[int]:
+    """Count at size n of one series in the labeled chain (keys as in derive_labeled_chain).
 
-
-def chain_count(key: str, n: int) -> int:
-    """Count at size n of one series in the labeled chain (keys as in derive_labeled_chain)."""
-    if n > 400:
-        from .errors import TooLarge
-
-        raise TooLarge("chain-derived counts are capped at n <= 400")
-    order = max(n, 64)
-    return _chain(order)[key].counts()[n]
+    With ``upto``, the list of counts at every size 0..n, read off one chain.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    counts = derive_labeled_chain(n)[key].counts()
+    return counts if upto else counts[n]
 
 
 def unbalanced_labeled(n: int) -> int:
@@ -109,49 +92,6 @@ def unbalanced_labeled(n: int) -> int:
 
 def balanced_labeled(n: int) -> int:
     return split_labeled(n) - unbalanced_labeled(n)
-
-
-# ---------------------------------------------------------------------------
-# Count tables and caching
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CountTable:
-    """Exact counts for one class, with per-entry provenance."""
-
-    kind: str
-    values: dict[int, int] = field(default_factory=dict)
-    provenance: dict[int, str] = field(default_factory=dict)
-
-    def put(self, n: int, value: int, source: str):
-        self.values[n] = value
-        self.provenance[n] = source
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "values": {str(n): decimal(v) for n, v in sorted(self.values.items())},
-            "provenance": {str(n): self.provenance[n] for n in sorted(self.provenance)},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CountTable":
-        table = cls(data["kind"])
-        for key, value in data["values"].items():
-            table.values[int(key)] = parse_decimal(value)
-        for key, src in data.get("provenance", {}).items():
-            table.provenance[int(key)] = src
-        return table
-
-    def save(self, path: str):
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=1, sort_keys=True)
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "CountTable":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +116,17 @@ class CrossCheckReport:
         }
 
 
-def cross_check(max_n: int, include_oracle: bool = True,
-                bp_cache: CountTable | None = None) -> CrossCheckReport:
+def cross_check(max_n: int, include_oracle: bool = True) -> CrossCheckReport:
     """Verify the two split-graph formulas agree up to max_n, plus oracle checks.
 
     Formula-vs-formula runs for 1 <= n <= max_n.  With ``include_oracle``,
     formula and series counts are also compared against exhaustive
     enumeration: labeled classes at n <= 6, unlabeled identities at n <= 7.
-    A cache table, if given, supplies previously computed double-sum values
-    (advisory: anything missing is recomputed).
 
     Discrepancies are collected in the report, never raised.
     """
     if max_n > 500:
-        raise ValueError("cross_check is capped at max_n <= 500")
+        raise TooLarge("cross_check is capped at max_n <= 500")
     start = time.monotonic()
     discrepancies = []
 
@@ -202,19 +139,14 @@ def cross_check(max_n: int, include_oracle: bool = True,
 
     for n in range(1, max_n + 1):
         direct = split_labeled(n)
-        if bp_cache is not None and n in bp_cache.values:
-            bp = bp_cache.values[n]
-        else:
-            bp = split_labeled_bp(n)
-            if bp_cache is not None:
-                bp_cache.put(n, bp, "double-sum")
+        bp = split_labeled_bp(n)
         if direct != bp:
             mismatch("split-formula-agreement", n, direct, bp)
 
     if include_oracle:
         from .enumeration import ClassTag, class_census
 
-        chain = _chain(8)
+        chain = derive_labeled_chain(8)
         s_counts = chain["S"].counts()
         u_counts = chain["U"].counts()
         b_counts = chain["B"].counts()

@@ -21,8 +21,8 @@ multiplier that turns the split-graph series into the unbalanced-split-graph
 series; computing both and comparing is one of the package's sanity checks.
 
 ``derive_labeled_chain`` builds every labeled class series from the bicolored
-closed form alone; ``derive_unlabeled_chain`` builds the unlabeled ones from
-a supplied base of unlabeled split counts.
+closed form alone, in integer arithmetic on the counts; ``derive_unlabeled_chain``
+builds the unlabeled ones from a supplied base of unlabeled split counts.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import enum
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
-from .errors import ConventionMismatch, InsufficientBase, NonIntegralResult, NotAUnit
+from .errors import ConventionMismatch, InsufficientBase, NonIntegralResult, NotAUnit, TooLarge
 
 EGF = "egf"
 OGF = "ogf"
@@ -43,23 +43,19 @@ OGF = "ogf"
 def decimal(value: int) -> str:
     """Decimal string of an arbitrarily large integer.
 
-    Lifts the interpreter's int-to-str digit cap on demand; chain
-    coefficients reach tens of thousands of digits.
+    Chain coefficients reach tens of thousands of digits, past the
+    interpreter's int-to-str digit cap; the cap is lifted for this one
+    conversion and then restored.
     """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters without the cap
+        return str(value)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
     try:
         return str(value)
-    except ValueError:
-        sys.set_int_max_str_digits(0)
-        return str(value)
-
-
-def parse_decimal(text: str) -> int:
-    """Inverse of ``decimal``: parse integers longer than the interpreter cap."""
-    try:
-        return int(text)
-    except ValueError:
-        sys.set_int_max_str_digits(0)
-        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class SeriesName(enum.Enum):
@@ -221,12 +217,6 @@ def named(name: SeriesName, convention: str, order: int) -> RationalSeries:
 MAX_CHAIN_ORDER = 400
 
 
-def _bicolored_count(n: int) -> int:
-    # sum over the green subset size; independent evaluation also lives in
-    # counting.bicolored_labeled, and the tests compare the two
-    return sum(comb(n, k) << (k * (n - k)) for k in range(n + 1))
-
-
 def derive_labeled_chain(order: int) -> dict[str, RationalSeries]:
     """All labeled class series, derived from the bicolored closed form.
 
@@ -236,28 +226,39 @@ def derive_labeled_chain(order: int) -> dict[str, RationalSeries]:
         S    = (1 - x) BC          U  = A * S          B = S - U
         cS   = BC / E              UK = E_{>=2} * cS   Uamb = x * B
 
-    Every derived coefficient is checked to give a non-negative integer
-    count.
+    The counts are computed in integers, each product or quotient above as a
+    binomial convolution of count sequences, with a_k = k! [x^k] A from
+    a_k = k a_{k-1} - 2(-1)^k.  The RationalSeries arithmetic stays the
+    independent check of these identities.  Every count is checked to be
+    non-negative.
     """
     if order > MAX_CHAIN_ORDER:
-        raise ValueError(f"chain order capped at {MAX_CHAIN_ORDER}")
-    bc = from_fractions(
-        [Fraction(_bicolored_count(i), factorial(i)) for i in range(order + 1)], EGF
-    )
-    one = constant(1, EGF, order)
-    x = monomial(EGF, order)
-    s = (one - x) * bc
-    u = named(SeriesName.A_FACTOR, EGF, order) * s
-    b = s - u
-    cs = bc / named(SeriesName.E, EGF, order)
-    uk = named(SeriesName.E_GE2, EGF, order) * cs
-    uamb = x * b
-    chain = {"BC": bc, "S": s, "U": u, "B": b, "cS": cs, "UK": uk, "Uamb": uamb}
-    for key, ser in chain.items():
-        for i, count in enumerate(ser.counts()):  # raises NonIntegralResult if fractional
+        raise TooLarge(f"chain order capped at {MAX_CHAIN_ORDER}")
+    from .counting import bicolored_labeled  # counting imports this module
+
+    bc, s, a, u, cs, uk = [], [], [], [], [], []
+    row = [1]  # C(n, k) for k = 0..n, one Pascal row at a time
+    for n in range(order + 1):
+        if n:
+            row = [1] + [row[k - 1] + row[k] for k in range(1, n)] + [1]
+        bc.append(bicolored_labeled(n))
+        s.append(bc[n] - n * bc[n - 1] if n else bc[0])
+        a.append(n * a[n - 1] - 2 * (-1) ** n if n > 1 else n)
+        u.append(sum(row[k] * a[k] * s[n - k] for k in range(1, n + 1)))
+        cs.append(bc[n] - sum(row[k] * cs[k] for k in range(n)))
+        uk.append(sum(row[k] * cs[n - k] for k in range(2, n + 1)))
+    b = [x - y for x, y in zip(s, u)]
+    uamb = [n * b[n - 1] if n else 0 for n in range(order + 1)]
+    counts = {"BC": bc, "S": s, "U": u, "B": b, "cS": cs, "UK": uk, "Uamb": uamb}
+    for key, values in counts.items():
+        for i, count in enumerate(values):
             if count < 0:
-                raise NonIntegralResult(f"{key} count at {i} is negative: {count}")
-    return chain
+                raise NonIntegralResult(f"{key} count at {i} is negative")
+    factorials = [1]
+    for i in range(1, order + 1):
+        factorials.append(factorials[-1] * i)
+    return {key: RationalSeries(tuple(Fraction(c, f) for c, f in zip(values, factorials)), EGF)
+            for key, values in counts.items()}
 
 
 def derive_unlabeled_chain(order: int, base: Sequence[int]) -> dict[str, RationalSeries]:

@@ -47,6 +47,20 @@ def test_count_large_n_uses_formula(capsys):
     assert value == split_labeled(20)
 
 
+def test_count_chain_sweep_matches_point_queries(capsys):
+    code, sweep, _ = run_cli(capsys, "count", "--class", "balanced", "--labeled",
+                             "--max-n", "70")
+    assert code == 0
+    points = []
+    for n in range(71):
+        code, out, _ = run_cli(capsys, "count", "--class", "balanced", "--labeled",
+                               "--n", str(n))
+        assert code == 0
+        points.append(out)
+    assert sweep == "".join(points)
+    assert len(sweep.splitlines()) == 71
+
+
 def test_count_unlabeled_oracle(capsys):
     code, out, _ = run_cli(capsys, "count", "--class", "split", "--unlabeled",
                            "--max-n", "6", "--format", "csv")
@@ -141,14 +155,6 @@ def test_verify_formulas_small(capsys):
     assert "elapsed_ms" in data
 
 
-def test_verify_formulas_with_shipped_cache(capsys):
-    cache = os.path.join(TESTDATA, "bp-cache.json")
-    code, out, _ = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "40",
-                           "--cache", cache)
-    assert code == 0
-    assert json.loads(out)["discrepancies"] == []
-
-
 def test_verify_random(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "random", "--seed", "3",
                            "--cases", "40")
@@ -172,6 +178,16 @@ def test_asym_json_with_unlabeled_base(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["rows"]) == 6 and len(data["unlabeled_rows"]) == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "formulas", "--max-n", "501"),
+    ("asym", "--max-n", "401"),
+])
+def test_counting_caps_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_usage_error_exits_2():

@@ -157,6 +157,20 @@ def test_labeled_chain_bc_over_e_matches_bicolored_star_oracle(census7):
     ]
 
 
+def test_integer_chain_matches_series_products_to_60():
+    """Each integer convolution of the chain equals its RationalSeries product."""
+    order = 60
+    chain = derive_labeled_chain(order)
+    one = constant(1, EGF, order)
+    x = monomial(EGF, order)
+    assert ((one - x) * chain["BC"]).coeffs == chain["S"].coeffs
+    assert (named(SeriesName.A_FACTOR, EGF, order) * chain["S"]).coeffs == chain["U"].coeffs
+    assert (chain["S"] - chain["U"]).coeffs == chain["B"].coeffs
+    assert (chain["BC"] / named(SeriesName.E, EGF, order)).coeffs == chain["cS"].coeffs
+    assert (named(SeriesName.E_GE2, EGF, order) * chain["cS"]).coeffs == chain["UK"].coeffs
+    assert (x * chain["B"]).coeffs == chain["Uamb"].coeffs
+
+
 def test_labeled_chain_integrality_to_100():
     chain = derive_labeled_chain(100)
     for key, series in chain.items():
