@@ -19,9 +19,11 @@ displays.
 from .errors import (
     ConventionMismatch,
     InsufficientBase,
+    InternalError,
     IsolatedGreen,
     LabelClash,
     LengthMismatch,
+    MalformedInput,
     MonochromeEdge,
     NonIntegralResult,
     NotAPartition,

@@ -20,7 +20,7 @@ from math import comb, factorial
 import mpmath
 
 from .counting import bicolored_labeled, split_labeled
-from .errors import TooLarge
+from .errors import OutOfRange, TooLarge
 from .series import derive_labeled_chain
 
 DEFAULT_BITS = 256
@@ -31,7 +31,7 @@ def c_constant(parity: str, bits: int = DEFAULT_BITS):
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     if bits < 64:
-        raise ValueError("use at least 64 bits")
+        raise OutOfRange(f"use at least 64 bits, got {bits}")
     with mpmath.workprec(bits + 16):
         two = mpmath.mpf(2)
         half = mpmath.mpf(1) / 2
@@ -207,6 +207,8 @@ def ratio_report(n_max: int, bits: int = DEFAULT_BITS,
     """
     if n_max > MAX_REPORT_N:
         raise TooLarge(f"report capped at n <= {MAX_REPORT_N}")
+    if bits < 64:
+        raise OutOfRange(f"use at least 64 bits, got {bits}")
     chain = derive_labeled_chain(max(n_max, 8))
     u = chain["U"].counts()
     s = chain["S"].counts()

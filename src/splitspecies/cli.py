@@ -2,7 +2,8 @@
 verification suites, and asymptotic reports, all with machine-readable output.
 
 Exit codes: 0 success, 1 a verification suite found a discrepancy, 2 usage
-error, 3 invalid input (too large, not a split graph, wrong class, ...).
+error, 3 invalid input (too large, not a split graph, wrong class, malformed
+file, negative size, ...), 4 a failed internal invariant (a bug).
 
 Counts are printed as decimal strings, since they overflow 64-bit integers
 almost immediately.  Identical invocations produce byte-identical output; the
@@ -31,8 +32,8 @@ from .bijections import (
     uk_decompose,
 )
 from .enumeration import ClassTag, class_census, count_unlabeled, enumerate_labeled
-from .errors import SplitSpeciesError
-from .graphs import BicoloredGraph, Graph, graph_to_json, load_graph
+from .errors import InternalError, OutOfRange, SplitSpeciesError
+from .graphs import BicoloredGraph, Graph, graph_to_json, load_file, load_graph
 from .structure import ColoredSplitGraph, classify, swing_report
 
 _CHAIN_KEYS = {
@@ -69,13 +70,19 @@ def _emit_json(data) -> None:
     print(json.dumps(data, sort_keys=True, separators=(",", ":")))
 
 
+def _size(n: int) -> int:
+    if n < 0:
+        raise OutOfRange(f"n must be non-negative, got {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
     tag = ClassTag(args.klass)
-    ns = range(args.max_n + 1) if args.n is None else [args.n]
+    ns = range(_size(args.max_n) + 1) if args.n is None else [_size(args.n)]
     if args.unlabeled:
         values = {n: count_unlabeled(n, tag) for n in ns}
     else:
@@ -110,20 +117,18 @@ def _cmd_classify(args) -> int:
 
 
 def _load_colored(path: str) -> ColoredSplitGraph:
-    with open(path) as f:
-        return ColoredSplitGraph.from_json(json.load(f))
+    return load_file(path, lambda text: ColoredSplitGraph.from_json(json.loads(text)))
 
 
 def _load_bicolored(path: str) -> BicoloredGraph:
-    with open(path) as f:
-        return BicoloredGraph.from_json(json.load(f))
+    return load_file(path, lambda text: BicoloredGraph.from_json(json.loads(text)))
 
 
 def _cmd_biject(args) -> int:
     name = args.map
     if name in ("uk-decompose", "amb-decompose"):
         if not args.graph:
-            raise SystemExit("--graph is required for this map")
+            args.usage_error(f"--graph is required for --map {name}")
         g = load_graph(args.graph)
         if name == "uk-decompose":
             a, rest = uk_decompose(g)
@@ -131,6 +136,8 @@ def _cmd_biject(args) -> int:
         else:
             a, rest = amb_decompose(g)
             _emit_json({"map": name, "swing_vertex": a, "rest": rest.to_json()})
+    elif not args.input:
+        args.usage_error(f"--input is required for --map {name}")
     elif name == "cuk-decompose":
         c = _load_colored(args.input)
         ps, rest = cuk_decompose(c)
@@ -185,8 +192,12 @@ def _identity_checks(max_n: int) -> list[dict]:
     return checks
 
 
-def _random_checks(max_n: int, seed: int, cases: int) -> list[dict]:
-    """Seeded random property checks: split test vs subset oracle, round trips."""
+def _random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[dict]]:
+    """Seeded random property checks: split test vs subset oracle, round trips.
+
+    Returns the failures and the round trips skipped because their class has
+    no graphs at size min(max_n, 7).
+    """
     from .enumeration import _split_data
     from .graphs import complement, is_split, make_graph, relabel
 
@@ -200,7 +211,7 @@ def _random_checks(max_n: int, seed: int, cases: int) -> list[dict]:
         return any(is_clique(g, km) and is_stable(g, full ^ km) for km in range(full + 1))
 
     for case in range(cases):
-        n = rng.randint(0, 8)
+        n = rng.randint(0, min(max_n, 8))
         edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
         g = make_graph(n, edges)
         if is_split(g) != subset_oracle(g):
@@ -214,41 +225,46 @@ def _random_checks(max_n: int, seed: int, cases: int) -> list[dict]:
     data = _split_data(n)
     from .structure import all_colorings
 
-    by_class = {cls: [] for cls in (1, 2)}
-    for q in range(len(data.words)):
-        c = int(data.classes[q])
-        if c in by_class:
-            by_class[c].append(int(data.words[q]))
+    kcanonical = data.words[data.classes == 2].tolist()
+    ambiguous = data.words[data.classes == 1].tolist()
+    skipped = []
+    if not kcanonical:
+        skipped.append({"class": "k-canonical", "n": n, "checks": [
+            "uk-round-trip", "uk-equivariance", "cuk-round-trip", "bicolored-round-trip"]})
+    if not ambiguous:
+        skipped.append({"class": "ambiguous", "n": n, "checks": ["amb-round-trip"]})
     for case in range(cases):
-        word = rng.choice(by_class[2])  # k-canonical
-        g = Graph.from_edge_word(n, word)
-        a, rest = uk_decompose(g)
-        if uk_compose(a, rest).core != g:
-            failures.append({"check": "uk-round-trip", "case": case, "word": word})
-        p = list(range(n))
-        rng.shuffle(p)
-        a2, rest2 = uk_decompose(relabel(g, p))
-        if a2 != tuple(sorted(p[v] for v in a)) or rest2 != rest.relabeled(p):
-            failures.append({"check": "uk-equivariance", "case": case, "word": word})
-        colored = rng.choice(all_colorings(g))
-        ps, crest = cuk_decompose(colored)
-        if cuk_compose(ps, crest).core != colored:
-            failures.append({"check": "cuk-round-trip", "case": case, "word": word})
-        back = bicolored_to_split(split_to_bicolored(colored))
-        if back != colored:
-            failures.append({"check": "bicolored-round-trip", "case": case, "word": word})
+        if kcanonical:
+            word = rng.choice(kcanonical)
+            g = Graph.from_edge_word(n, word)
+            a, rest = uk_decompose(g)
+            if uk_compose(a, rest).core != g:
+                failures.append({"check": "uk-round-trip", "case": case, "word": word})
+            p = list(range(n))
+            rng.shuffle(p)
+            a2, rest2 = uk_decompose(relabel(g, p))
+            if a2 != tuple(sorted(p[v] for v in a)) or rest2 != rest.relabeled(p):
+                failures.append({"check": "uk-equivariance", "case": case, "word": word})
+            colored = rng.choice(all_colorings(g))
+            ps, crest = cuk_decompose(colored)
+            if cuk_compose(ps, crest).core != colored:
+                failures.append({"check": "cuk-round-trip", "case": case, "word": word})
+            back = bicolored_to_split(split_to_bicolored(colored))
+            if back != colored:
+                failures.append({"check": "bicolored-round-trip", "case": case, "word": word})
 
-        word = rng.choice(by_class[1])  # ambiguous
-        g = Graph.from_edge_word(n, word)
-        v, rest = amb_decompose(g)
-        if amb_compose(v, rest).core != g:
-            failures.append({"check": "amb-round-trip", "case": case, "word": word})
-    return failures
+        if ambiguous:
+            word = rng.choice(ambiguous)
+            g = Graph.from_edge_word(n, word)
+            v, rest = amb_decompose(g)
+            if amb_compose(v, rest).core != g:
+                failures.append({"check": "amb-round-trip", "case": case, "word": word})
+    return failures, skipped
 
 
 def _cmd_verify(args) -> int:
     if args.suite == "identities":
-        max_n = 6 if args.max_n is None else args.max_n
+        max_n = 6 if args.max_n is None else _size(args.max_n)
         checks = _identity_checks(max_n)
         bad = [c for c in checks if not c["ok"]]
         report = {"suite": "identities", "max_n": max_n,
@@ -262,7 +278,7 @@ def _cmd_verify(args) -> int:
         return 0 if not bad else 1
 
     if args.suite == "formulas":
-        max_n = 318 if args.max_n is None else args.max_n
+        max_n = 318 if args.max_n is None else _size(args.max_n)
         report = counting.cross_check(max_n)
         if args.format == "json":
             _emit_json(report.to_json())
@@ -274,23 +290,27 @@ def _cmd_verify(args) -> int:
         return 0 if report.ok else 1
 
     # random
-    max_n = 7 if args.max_n is None else args.max_n
-    failures = _random_checks(max_n, args.seed, args.cases)
+    max_n = 8 if args.max_n is None else _size(args.max_n)
+    failures, skipped = _random_checks(max_n, args.seed, args.cases)
     report = {"suite": "random", "seed": args.seed, "cases": args.cases,
               "failures": failures}
+    if skipped:
+        report["skipped"] = skipped
     if args.format == "json":
         _emit_json(report)
     else:
         print(f"random: seed={args.seed} cases={args.cases} failures={len(failures)}")
+        for skip in skipped:
+            print(f"skipped {skip['class']} round trips: no such graphs at n={skip['n']}")
     return 0 if not failures else 1
 
 
 def _cmd_asym(args) -> int:
     base = None
     if args.unlabeled_base:
-        with open(args.unlabeled_base) as f:
-            base = [int(v) for v in json.load(f)["values"]]
-    report = ratio_report(args.max_n, bits=args.bits, unlabeled_base=base)
+        base = load_file(args.unlabeled_base,
+                         lambda text: [int(v) for v in json.loads(text)["values"]])
+    report = ratio_report(_size(args.max_n), bits=args.bits, unlabeled_base=base)
     if args.format == "json":
         _emit_json(report.to_json())
     else:
@@ -338,11 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "split-to-bicolored", "bicolored-to-split"])
     p.add_argument("--graph", help="graph file, for the graph-input maps")
     p.add_argument("--input", help="colored/bicolored JSON file, for the colored maps")
-    p.set_defaults(func=_cmd_biject)
+    p.set_defaults(func=_cmd_biject, usage_error=p.error)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["identities", "formulas", "random"])
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None,
+                   help="largest size (default: identities 6, formulas 318, random 8)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--format", choices=["text", "json"], default="json")
@@ -361,12 +382,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SplitSpeciesError as exc:
+    except (SplitSpeciesError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except InternalError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,16 +1,19 @@
 """Exhaustive enumeration of every graph class, labeled and unlabeled.
 
-This module is the ground-truth oracle: labeled structures are generated by
-sweeping all edge words (all 2^C(n,2) graphs, or all coloring/edge-set pairs
-for bicolored classes) and filtering; unlabeled structures are counted by
-collapsing the labeled sweep into orbits under vertex relabeling.
+This module is the ground-truth oracle.  Split graphs come straight from the
+definition: a clique K, a stable set S = V - K, and any set of K-S edges.
+Each clique mask with each subset of its cross edges is one (graph,
+partition) pair; sorting the pairs groups them by graph, and the number of
+pairs of a graph is its number of clique/stable partitions.  That
+multiplicity gives the class: one partition is balanced, two ambiguous,
+three or more canonical (k-canonical when the largest clique side is
+unique, s-canonical otherwise).  Bicolored structures come from the same
+cross-edge expansion without the clique edges.  Unlabeled structures are
+counted by collapsing the labeled sweep into orbits under vertex relabeling.
 
-The sweeps are vectorized with numpy, but the quantities they compute are
-defined purely combinatorially: a graph is split iff some vertex subset is a
-clique with stable complement (tested via the degree criterion, which the
-test suite validates against the subset definition), and two structures are
-identified in the unlabeled count iff some permutation carries one to the
-other.
+The oracle never consults the series or the closed forms.  The tests check
+the generated split graphs against the Hammer-Simeone degree test and a
+subset scan, and the classes against the swing analysis of ``structure``.
 
 Orbit counting works by scanning the sorted array of structure keys and, at
 each not-yet-seen key, generating the whole orbit with precomputed
@@ -29,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NotSplit, TooLarge
+from .errors import OutOfRange, TooLarge
 from .graphs import BicoloredGraph, Graph, bits_of, edge_bit, edge_pairs
 from .structure import ColoredSplitGraph
 
@@ -59,7 +62,7 @@ _CLS_OF_TAG = {ClassTag.BALANCED: _BAL, ClassTag.AMBIGUOUS: _AMB,
 
 def _check_limit(n: int, tag: ClassTag, unlabeled: bool = False):
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise OutOfRange(f"n must be non-negative, got {n}")
     if unlabeled:
         limit = 8 if tag is ClassTag.SPLIT else 7
     elif tag in _GRAPH_TAGS:
@@ -71,136 +74,57 @@ def _check_limit(n: int, tag: ClassTag, unlabeled: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized split test and per-graph structural data
+# Split graphs from the definition, classified by partition multiplicity
 # ---------------------------------------------------------------------------
 
-def _split_flags_chunk(n: int, start: int, stop: int) -> np.ndarray:
-    """Degree-criterion split flags for edge words in [start, stop)."""
-    pairs = edge_pairs(n)
-    words = np.arange(start, stop, dtype=np.int64)
-    deg = np.zeros((len(words), max(n, 1)), dtype=np.uint8)
-    for e, (i, j) in enumerate(pairs):
-        bit = ((words >> e) & 1).astype(np.uint8)
-        deg[:, i] += bit
-        deg[:, j] += bit
-    dsort = np.sort(deg, axis=1)[:, ::-1].astype(np.int64)
-    cond = dsort >= np.arange(max(n, 1), dtype=np.int64)
-    m = cond.sum(axis=1)
-    cum = np.cumsum(dsort, axis=1)
-    total = cum[:, -1]
-    rows_idx = np.arange(len(words))
-    sum_top = np.where(m > 0, cum[rows_idx, np.maximum(m - 1, 0)], 0)
-    return sum_top == m * (m - 1) + (total - sum_top)
+def _popcounts(n: int) -> np.ndarray:
+    """Bit count of every n-bit mask, as a lookup table (numpy < 2 lacks one)."""
+    pop = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        pop = np.concatenate((pop, pop + 1))
+    return pop
+
+
+def _cross_words(n: int, mask: int) -> np.ndarray:
+    """Edge words of every set of edges between mask and its complement.
+
+    Entry i holds the edges whose slots are set in i, the slots ordered by
+    (vertex in mask, vertex outside it).
+    """
+    words = np.zeros(1, dtype=np.int64)
+    outside = bits_of(((1 << n) - 1) ^ mask)
+    for g in bits_of(mask):
+        for r in outside:
+            words = np.concatenate((words, words | (1 << edge_bit(g, r))))
+    return words
+
+
+def _clique_word(mask: int) -> int:
+    return sum(1 << edge_bit(i, j) for i, j in itertools.combinations(bits_of(mask), 2))
+
+
+@lru_cache(maxsize=2)  # shared by _split_words and _split_data, built once
+def _partition_runs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (split graph, clique/stable partition) pair on n vertices.
+
+    A split graph is a clique K, a stable set S and any set of K-S edges, so
+    each clique mask K with each subset of its cross edges is one pair.
+    Returns the sorted keys (edge word << n | K) and the index where each
+    graph's run of keys starts; a run's length is the graph's number of
+    partitions.
+    """
+    keys = np.concatenate([((_cross_words(n, k) | _clique_word(k)) << n) | k
+                           for k in range(1 << n)])
+    keys.sort()
+    words = keys >> n
+    return keys, np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
 
 
 @lru_cache(maxsize=16)
 def _split_words(n: int) -> np.ndarray:
     """Sorted array of the edge words of all split graphs on n vertices."""
-    nbits = n * (n - 1) // 2
-    if n == 0:
-        return np.array([0], dtype=np.int64)
-    chunks = []
-    step = 1 << min(nbits, 22)
-    for start in range(0, 1 << nbits, step):
-        flags = _split_flags_chunk(n, start, start + step)
-        chunks.append(np.flatnonzero(flags).astype(np.int64) + start)
-    return np.concatenate(chunks)
-
-
-def _rows_of_word(n: int, word: int) -> list[int]:
-    rows = [0] * n
-    e = 0
-    for j in range(n):
-        for i in range(j):
-            if word >> e & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            e += 1
-    return rows
-
-
-def _mask_clique(rows, mask: int) -> bool:
-    t = mask
-    while t:
-        b = t & -t
-        if rows[b.bit_length() - 1] & mask != mask ^ b:
-            return False
-        t ^= b
-    return True
-
-
-def _mask_stable(rows, mask: int) -> bool:
-    t = mask
-    while t:
-        b = t & -t
-        if rows[b.bit_length() - 1] & mask:
-            return False
-        t ^= b
-    return True
-
-
-def _kmax_partition(rows, n: int) -> tuple[int, int]:
-    """A clique/stable partition with maximum clique side, as (K, S) masks.
-
-    Tries the degree-ordered prefix first and verifies it; falls back to an
-    exhaustive subset scan if the verification ever fails (degree ties).
-    """
-    full = (1 << n) - 1
-    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
-    m = 0
-    for i, v in enumerate(order):
-        if rows[v].bit_count() >= i:
-            m = i + 1
-    km = 0
-    for v in order[:m]:
-        km |= 1 << v
-    if _mask_clique(rows, km) and _mask_stable(rows, full ^ km):
-        return km, full ^ km
-    best = -1
-    best_km = 0
-    for cand in range(full + 1):
-        if _mask_clique(rows, cand) and _mask_stable(rows, full ^ cand):
-            if cand.bit_count() > best:
-                best = cand.bit_count()
-                best_km = cand
-    if best < 0:
-        raise NotSplit("no clique/stable-set partition")
-    return best_km, full ^ best_km
-
-
-def _classify_masks(rows, n: int) -> tuple[int, int, int]:
-    """(class code, swing mask, K-max mask) for a split graph given as rows.
-
-    Reads the class off one K-max partition (K, S): the vertices of K with no
-    neighbor in S are the swings visible there.  Two or more of them form the
-    swing clique (k-canonical); none means balanced; exactly one means the
-    graph is ambiguous or s-canonical, decided by how many stable-side
-    vertices can enter the clique of the derived S-max partition.
-    """
-    km, sm = _kmax_partition(rows, n)
-    movable = 0
-    t = km
-    while t:
-        b = t & -t
-        if rows[b.bit_length() - 1] & sm == 0:
-            movable |= b
-        t ^= b
-    if movable == 0:
-        return _BAL, 0, km
-    if movable.bit_count() >= 2:
-        return _KCAN, movable, km
-    k2 = km ^ movable
-    s2 = sm | movable
-    entering = 0
-    t = s2
-    while t:
-        b = t & -t
-        if rows[b.bit_length() - 1] & k2 == k2:
-            entering |= b
-        t ^= b
-    if entering.bit_count() >= 2:
-        return _SCAN, entering, km
-    return _AMB, movable, km
+    keys, starts = _partition_runs(n)
+    return keys[starts] >> n
 
 
 @dataclass(frozen=True)
@@ -215,22 +139,37 @@ class _SplitData:
 
 @lru_cache(maxsize=16)
 def _split_data(n: int) -> _SplitData:
+    """Class, swing set and a K-max clique side of every split graph.
+
+    With A the swings and Y the vertices on the clique side of every
+    partition, the clique sides are: K alone (balanced); Y and Y + a
+    (ambiguous); A + Y and each A + Y - a (k-canonical); Y and each Y + a
+    (s-canonical).  So a run of one is balanced, of two ambiguous, and a
+    longer run is k-canonical iff the union of its clique sides is itself the
+    largest one.  The swings are the union minus the intersection.
+    """
     words = _split_words(n)
-    classes = np.zeros(len(words), dtype=np.uint8)
-    swings = np.zeros(len(words), dtype=np.int32)
-    kmax = np.zeros(len(words), dtype=np.int32)
-    for q in range(len(words)):
-        rows = _rows_of_word(n, int(words[q]))
-        cls, sw, km = _classify_masks(rows, n)
-        classes[q] = cls
-        swings[q] = sw
-        kmax[q] = km
-    return _SplitData(words, classes, swings, kmax)
+    keys, starts = _partition_runs(n)
+    sides = keys & ((1 << n) - 1)
+    pop = _popcounts(n)
+    runs = np.diff(starts, append=len(keys))
+    union = np.bitwise_or.reduceat(sides, starts)
+    common = np.bitwise_and.reduceat(sides, starts)
+    swings = union & ~common
+    kcan = (runs >= 3) & (np.maximum.reduceat(pop[sides], starts) == pop[union])
+    classes = np.select([runs == 1, runs == 2, kcan], [_BAL, _AMB, _KCAN], _SCAN)
+    # an s-canonical graph has one K-max side per swing: take the lowest
+    kmax = np.where(classes == _SCAN, common | (swings & -swings), union)
+    return _SplitData(words, classes.astype(np.uint8), swings.astype(np.int32),
+                      kmax.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
 # Permutation orbit machinery
 # ---------------------------------------------------------------------------
+
+_ORBIT_CHUNK = 4096
+
 
 @lru_cache(maxsize=16)
 def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,37 +178,24 @@ def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     Entry values are already shifted (1 << target), so an orbit is assembled
     by OR-ing columns.
     """
-    perms = list(itertools.permutations(range(n)))
-    nbits = n * (n - 1) // 2
-    edge_tab = np.zeros((len(perms), nbits), dtype=np.int64)
-    vert_tab = np.zeros((len(perms), max(n, 1)), dtype=np.int64)
-    for q, p in enumerate(perms):
-        for e, (i, j) in enumerate(edge_pairs(n)):
-            edge_tab[q, e] = 1 << edge_bit(p[i], p[j])
-        for v in range(n):
-            vert_tab[q, v] = 1 << p[v]
-    return edge_tab, vert_tab
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    ends = np.array(edge_pairs(n), dtype=np.int64).reshape(-1, 2)
+    a, b = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    return np.left_shift(1, hi * (hi - 1) // 2 + lo), np.left_shift(1, perms)
 
 
 def _word_orbit(word: int, edge_bits: np.ndarray) -> np.ndarray:
     orbit = np.zeros(edge_bits.shape[0], dtype=np.int64)
-    e = 0
-    while word:
-        if word & 1:
-            orbit |= edge_bits[:, e]
-        word >>= 1
-        e += 1
+    for e in bits_of(word):
+        orbit |= edge_bits[:, e]
     return orbit
 
 
 def _mask_orbit(mask: int, vert_bits: np.ndarray) -> np.ndarray:
     orbit = np.zeros(vert_bits.shape[0], dtype=np.int64)
-    v = 0
-    while mask:
-        if mask & 1:
-            orbit |= vert_bits[:, v]
-        mask >>= 1
-        v += 1
+    for v in bits_of(mask):
+        orbit |= vert_bits[:, v]
     return orbit
 
 
@@ -277,16 +203,17 @@ def _orbit_reps(keys: np.ndarray, orbit_of) -> list[int]:
     """Indices of one representative per orbit in a sorted key array.
 
     ``orbit_of(key)`` must return the full orbit of a key as an array whose
-    members all occur in ``keys``.
+    members all occur in ``keys``.  The keys are scanned a chunk at a time;
+    a key left unflagged at the start of its chunk is checked again, since an
+    orbit found earlier in the chunk may have covered it.
     """
     flags = np.zeros(len(keys), dtype=bool)
     reps = []
-    for pos in range(len(keys)):
-        if flags[pos]:
-            continue
-        reps.append(pos)
-        orbit = np.unique(orbit_of(int(keys[pos])))
-        flags[np.searchsorted(keys, orbit)] = True
+    for lo in range(0, len(keys), _ORBIT_CHUNK):
+        for pos in np.flatnonzero(~flags[lo:lo + _ORBIT_CHUNK]) + lo:
+            if not flags[pos]:
+                reps.append(int(pos))
+                flags[np.searchsorted(keys, np.sort(orbit_of(int(keys[pos]))))] = True
     return reps
 
 
@@ -294,35 +221,24 @@ def _orbit_reps(keys: np.ndarray, orbit_of) -> list[int]:
 # Bicolored sweeps
 # ---------------------------------------------------------------------------
 
-def _bipartite_layout(n: int, green_mask: int):
-    """Slot-to-edge-bit table for the cross edges of one green mask."""
-    greens = bits_of(green_mask)
-    reds = bits_of(((1 << n) - 1) ^ green_mask)
-    slots = []
-    for g in greens:
-        for r in reds:
-            slots.append(1 << edge_bit(g, r))
-    return greens, reds, slots
+def _greens_covered(n: int, green: int, words: np.ndarray) -> np.ndarray:
+    """Which cross-edge words give every green vertex a red neighbor."""
+    reds = bits_of(((1 << n) - 1) ^ green)
+    ok = np.ones(len(words), dtype=bool)
+    for g in bits_of(green):
+        ok &= (words & sum(1 << edge_bit(g, r) for r in reds)) != 0
+    return ok
 
 
 def _bicolored_keys(n: int, no_isolated_green: bool) -> np.ndarray:
     """Sorted keys (edge word << n | green mask) of all bicolored structures."""
     out = []
-    for green in range(1 << max(n, 0)):
-        greens, reds, slots = _bipartite_layout(n, green)
-        k, r = len(greens), len(reds)
-        bip = np.arange(1 << (k * r), dtype=np.int64)
-        words = np.zeros(len(bip), dtype=np.int64)
-        for s, bitval in enumerate(slots):
-            words |= ((bip >> s) & 1) * bitval
-        if no_isolated_green and k:
-            ok = np.ones(len(bip), dtype=bool)
-            row = (1 << r) - 1
-            for i in range(k):
-                ok &= (bip & (row << (i * r))) != 0
-            words = words[ok]
+    for green in range(1 << n):
+        words = _cross_words(n, green)
+        if no_isolated_green:
+            words = words[_greens_covered(n, green, words)]
         out.append((words << n) | green)
-    keys = np.concatenate(out) if out else np.array([], dtype=np.int64)
+    keys = np.concatenate(out)
     keys.sort()
     return keys
 
@@ -330,32 +246,21 @@ def _bicolored_keys(n: int, no_isolated_green: bool) -> np.ndarray:
 def _colored_split_keys(n: int) -> np.ndarray:
     """Sorted keys (edge word << n | green mask) of all colored split graphs.
 
-    One key per (split graph, S-max partition) pair, derived from the stored
-    K-max partition: drop one swing vertex from the clique side (k-canonical
-    graphs have one choice per swing vertex; everything else drops its single
-    movable vertex or nothing).
+    One key per (split graph, S-max partition) pair.  The S-max clique sides
+    are the K-max one minus one swing vertex, each in turn, for k-canonical
+    graphs, and the intersection of all clique sides, K-max minus swings, for
+    every other graph.
     """
     data = _split_data(n)
-    keys = []
-    for q in range(len(data.words)):
-        word = int(data.words[q]) << n
-        cls = int(data.classes[q])
-        km = int(data.kmax[q])
-        sw = int(data.swings[q])
-        if cls == _KCAN:
-            t = sw
-            while t:
-                b = t & -t
-                keys.append(word | (km ^ b))
-                t ^= b
-        elif cls == _BAL:
-            keys.append(word | km)
-        else:
-            # ambiguous or s-canonical: one movable vertex sits in the clique side
-            keys.append(word | (km & ~sw))
-    arr = np.array(keys, dtype=np.int64)
-    arr.sort()
-    return arr
+    shifted = data.words << n
+    kcan = data.classes == _KCAN
+    keys = [shifted[~kcan] | (data.kmax[~kcan] & ~data.swings[~kcan])]
+    for v in range(n):
+        drop = kcan & (data.swings >> v & 1 == 1)
+        keys.append(shifted[drop] | (data.kmax[drop] ^ (1 << v)))
+    keys = np.concatenate(keys)
+    keys.sort()
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +338,7 @@ def class_census(n: int) -> Census:
     unlabeled[ClassTag.ALL_GRAPHS] = len(_orbit_reps(all_words, word_orbit))
 
     split_reps = _orbit_reps(data.words, word_orbit)
-    cls_counts = [0, 0, 0, 0]
-    for pos in split_reps:
-        cls_counts[int(data.classes[pos])] += 1
+    cls_counts = np.bincount(data.classes[split_reps], minlength=4).tolist()
     unlabeled[ClassTag.SPLIT] = len(split_reps)
     unlabeled[ClassTag.BALANCED] = cls_counts[_BAL]
     unlabeled[ClassTag.AMBIGUOUS] = cls_counts[_AMB]
@@ -474,11 +377,7 @@ def colored_kcanonical_labeled(n: int) -> int:
     """Number of labeled colored split graphs whose underlying graph is k-canonical."""
     _check_limit(n, ClassTag.COLORED_SPLIT)
     data = _split_data(n)
-    total = 0
-    for q in range(len(data.words)):
-        if int(data.classes[q]) == _KCAN:
-            total += int(data.swings[q]).bit_count()
-    return total
+    return int(_popcounts(n)[data.swings[data.classes == _KCAN]].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +388,8 @@ def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
     """Yield each labeled structure of the class exactly once, in a fixed order.
 
     Graphs come in ascending edge-word order; colored split graphs per graph
-    in ascending green-mask order; bicolored structures in ascending
-    (green mask, cross-edge word) order.
+    in ascending green-mask order; bicolored structures by ascending green
+    mask, then counting through the subsets of the (green, red) vertex pairs.
     """
     _check_limit(n, tag)
     if tag is ClassTag.ALL_GRAPHS:
@@ -502,12 +401,11 @@ def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
     elif tag in _CLASSIFIED_TAGS:
         data = _split_data(n)
         if tag is ClassTag.UNBALANCED:
-            wanted = {_AMB, _KCAN, _SCAN}
+            wanted = data.classes != _BAL
         else:
-            wanted = {_CLS_OF_TAG[tag]}
-        for q in range(len(data.words)):
-            if int(data.classes[q]) in wanted:
-                yield Graph.from_edge_word(n, int(data.words[q]))
+            wanted = data.classes == _CLS_OF_TAG[tag]
+        for word in data.words[wanted]:
+            yield Graph.from_edge_word(n, int(word))
     elif tag is ClassTag.COLORED_SPLIT:
         for key in _colored_split_keys(n):
             key = int(key)
@@ -515,24 +413,13 @@ def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
             green = key & ((1 << n) - 1)
             yield ColoredSplitGraph(g, bits_of(green), bits_of(g.vertex_mask() ^ green))
     else:
-        star = tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN
         full = (1 << n) - 1
         for green in range(full + 1):
-            greens, reds, slots = _bipartite_layout(n, green)
-            k, r = len(greens), len(reds)
-            row = (1 << r) - 1
-            for bip in range(1 << (k * r)):
-                if star and any((bip >> (i * r)) & row == 0 for i in range(k)):
-                    continue
-                word = 0
-                s = 0
-                rest = bip
-                while rest:
-                    if rest & 1:
-                        word |= slots[s]
-                    rest >>= 1
-                    s += 1
-                g = Graph.from_edge_word(n, word)
+            words = _cross_words(n, green)
+            if tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN:
+                words = words[_greens_covered(n, green, words)]
+            for word in words:
+                g = Graph.from_edge_word(n, int(word))
                 yield BicoloredGraph(g, bits_of(green), bits_of(full ^ green))
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every error raised on bad input derives from SplitSpeciesError, so callers
-(notably the CLI) can distinguish domain errors from genuine bugs.
+Every error raised on bad input derives from SplitSpeciesError, and every
+failed internal invariant from InternalError, so callers (notably the CLI)
+can tell bad input from a bug in the package.
 """
 
 
@@ -18,7 +19,7 @@ class TooSmall(SplitSpeciesError, ValueError):
 
 
 class OutOfRange(SplitSpeciesError, ValueError):
-    """A vertex label lies outside the allowed range."""
+    """A vertex label or a size lies outside the allowed range."""
 
 
 class SelfLoop(SplitSpeciesError, ValueError):
@@ -69,5 +70,13 @@ class InsufficientBase(SplitSpeciesError, ValueError):
     """The supplied base sequence is shorter than the requested order."""
 
 
-class NonIntegralResult(SplitSpeciesError, ArithmeticError):
-    """A quantity that must be an integer came out fractional (internal error)."""
+class MalformedInput(SplitSpeciesError, ValueError):
+    """An input file does not parse as the structure it should describe."""
+
+
+class InternalError(Exception):
+    """Base class for failed internal invariants: a bug, not bad input."""
+
+
+class NonIntegralResult(InternalError, ArithmeticError):
+    """A quantity that must be an integer came out fractional or negative."""

@@ -16,16 +16,20 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
     LengthMismatch,
+    MalformedInput,
     MonochromeEdge,
     NotAPartition,
     OutOfRange,
     SelfLoop,
+    SplitSpeciesError,
     TooLarge,
 )
+
+T = TypeVar("T")
 
 MAX_VERTICES = 16
 CANON_MAX_VERTICES = 8
@@ -317,11 +321,27 @@ def format_graph_text(g: Graph) -> str:
     return "\n".join([str(g.n)] + [f"{i} {j}" for i, j in g.edges()]) + "\n"
 
 
+def load_file(path: str, parse: Callable[[str], T]) -> T:
+    """Parse the text of a file.
+
+    Text that does not parse raises MalformedInput; the package's own domain
+    errors (a label out of range, a self-loop, ...) pass through unchanged.
+    """
+    try:
+        with open(path) as f:
+            return parse(f.read())
+    except SplitSpeciesError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedInput(f"{path}: malformed input ({type(exc).__name__}: {exc})") from exc
+
+
 def load_graph(path: str) -> Graph:
     """Load a graph from a .json file or the plain-text fixture format."""
-    with open(path) as f:
-        text = f.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    return load_file(path, _parse_graph)
+
+
+def _parse_graph(text: str) -> Graph:
+    if text.lstrip().startswith("{"):
         return graph_from_json(json.loads(text))
     return parse_graph_text(text)

@@ -163,6 +163,24 @@ def test_verify_random(capsys):
     assert data["failures"] == [] and data["seed"] == 3
 
 
+@pytest.mark.parametrize("max_n", [2, 3])
+def test_verify_random_small_max_n(capsys, monkeypatch, max_n):
+    """No ambiguous graph exists at n = 2, 3: those round trips are skipped
+    and reported, and the split tests stay within --max-n."""
+    from splitspecies import graphs
+
+    sizes = []
+    make_graph = graphs.make_graph
+    monkeypatch.setattr(graphs, "make_graph", lambda n, edges: sizes.append(n) or make_graph(n, edges))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "random", "--max-n", str(max_n),
+                           "--cases", "40")
+    assert code == 0
+    data = json.loads(out)
+    assert data["failures"] == []
+    assert data["skipped"] == [{"class": "ambiguous", "n": max_n, "checks": ["amb-round-trip"]}]
+    assert max(sizes) == max_n
+
+
 def test_asym_csv(capsys):
     code, out, _ = run_cli(capsys, "asym", "--max-n", "8", "--format", "csv")
     assert code == 0
@@ -205,3 +223,62 @@ def test_unknown_class_exits_2():
 def test_missing_file_exits_3(capsys):
     code, _, err = run_cli(capsys, "classify", "--graph", "/nonexistent/file.g")
     assert code == 3
+
+
+# (argv, content of the file named by "{file}" or None, exit code)
+BAD_INVOCATIONS = {
+    "malformed-text": (["classify", "--graph", "{file}"], "4\n0 x\n", 3),
+    "text-edge-of-three": (["classify", "--graph", "{file}"], "4\n0 1 2\n", 3),
+    "malformed-json": (["classify", "--graph", "{file}"], '{"n": 4, "edges": [[0, 1]', 3),
+    "json-edges-not-pairs": (["classify", "--graph", "{file}"], '{"n": 4, "edges": [7]}', 3),
+    "colored-json-without-green": (
+        ["biject", "--map", "split-to-bicolored", "--input", "{file}"],
+        '{"n": 2, "edges": [[0, 1]], "red": [1]}', 3),
+    "bicolored-malformed-json": (
+        ["biject", "--map", "bicolored-to-split", "--input", "{file}"], "[1, 2", 3),
+    "count-labeled-negative-n": (["count", "--class", "split", "--labeled", "--n", "-1"], None, 3),
+    "count-all-graphs-negative-n": (
+        ["count", "--class", "all-graphs", "--labeled", "--n", "-1"], None, 3),
+    "count-unlabeled-negative-n": (
+        ["count", "--class", "balanced", "--unlabeled", "--n", "-1"], None, 3),
+    "count-negative-max-n": (["count", "--class", "split", "--labeled", "--max-n", "-1"], None, 3),
+    "enumerate-negative-n": (["enumerate", "--class", "split", "--n", "-1"], None, 3),
+    "verify-negative-max-n": (["verify", "--suite", "identities", "--max-n", "-1"], None, 3),
+    "asym-negative-max-n": (["asym", "--max-n", "-1"], None, 3),
+    "asym-too-few-bits": (["asym", "--max-n", "5", "--bits", "63"], None, 3),
+    "uk-decompose-without-graph": (["biject", "--map", "uk-decompose"], None, 2),
+    "colored-map-without-input": (["biject", "--map", "cuk-decompose"], None, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_invocations_exit_with_documented_codes(capsys, tmp_path, case):
+    argv, content, expected = BAD_INVOCATIONS[case]
+    if content is not None:
+        path = write_graph(tmp_path, "input", content)
+        argv = [path if a == "{file}" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse reports usage errors this way
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == expected and out == ""
+    if expected == 3:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    else:
+        assert "usage:" in err and "is required" in err
+
+
+def test_internal_invariant_failure_exits_4(capsys, monkeypatch):
+    from splitspecies import counting
+    from splitspecies.errors import NonIntegralResult, SplitSpeciesError
+
+    assert not issubclass(NonIntegralResult, SplitSpeciesError)
+
+    def broken(n):
+        raise NonIntegralResult(f"double-sum total for n={n} leaves remainder 1")
+
+    monkeypatch.setattr(counting, "split_labeled_bp", broken)
+    code, out, err = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "3")
+    assert code == 4 and out == ""
+    assert err == "error: internal invariant failed: double-sum total for n=1 leaves remainder 1\n"

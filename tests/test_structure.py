@@ -21,6 +21,7 @@ from splitspecies.structure import (
     all_colorings,
     canonical_partition,
     classify,
+    classify_report,
     clique_number,
     color,
     independence_number,
@@ -180,23 +181,35 @@ def test_swing_structure_sampled_n7():
         assert rep.swing_mask() == int(data.swings[q])
 
 
-@pytest.mark.parametrize("n", range(0, 6))
+@pytest.mark.parametrize("n", range(0, 7))
 def test_fast_classifier_matches_definitional(n):
-    """The bulk classifier used by the census agrees with the definition."""
-    from splitspecies.enumeration import _classify_masks, _rows_of_word
-
+    """The census arrays, read off partition multiplicities, agree with the
+    subset-scan swing analysis on every split graph."""
     data = _split_words_and_classes(n)
     names = {0: SplitClass.BALANCED, 1: SplitClass.AMBIGUOUS,
              2: SplitClass.K_CANONICAL, 3: SplitClass.S_CANONICAL}
-    for q in range(len(data.words)):
-        word = int(data.words[q])
+    for word, cls, swings, kmax in zip(data.words.tolist(), data.classes.tolist(),
+                                       data.swings.tolist(), data.kmax.tolist()):
         g = Graph.from_edge_word(n, word)
-        cls, swings, kmax = _classify_masks(_rows_of_word(n, word), n)
-        assert names[cls] is classify(g)
-        assert swings == swing_report(g).swing_mask()
+        rep = swing_report(g)
+        assert names[cls] is classify_report(rep)
+        assert swings == rep.swing_mask()
         assert (kmax, g.vertex_mask() ^ kmax) in {
             (p.k_mask(), p.s_mask()) for p in k_max_partitions(g)
         }
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_colored_split_keys_match_all_colorings(n):
+    """One colored key per (split graph, S-max partition), as all_colorings lists them."""
+    from splitspecies.enumeration import _colored_split_keys
+
+    expected = sorted(
+        (word << n) | c.green_mask()
+        for word in _split_words_and_classes(n).words.tolist()
+        for c in all_colorings(Graph.from_edge_word(n, word))
+    )
+    assert _colored_split_keys(n).tolist() == expected
 
 
 def test_classify_complement_swaps_canonical_classes():
