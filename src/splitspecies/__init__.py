@@ -17,6 +17,7 @@ displays.
 """
 
 from .errors import (
+    BrokenInvariant,
     ConventionMismatch,
     InsufficientBase,
     InternalError,

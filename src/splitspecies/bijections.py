@@ -24,7 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import IsolatedGreen, LabelClash, OutOfRange, TooLarge, TooSmall, WrongClass
+from .errors import (
+    BrokenInvariant,
+    IsolatedGreen,
+    LabelClash,
+    OutOfRange,
+    TooLarge,
+    TooSmall,
+    WrongClass,
+)
 from .graphs import MAX_VERTICES, BicoloredGraph, Graph, bits_of, mask_of, relabel
 from .structure import (
     ColoredSplitGraph,
@@ -286,7 +294,8 @@ def cuk_decompose(c) -> tuple[PointedSet, EmbeddedColored]:
         raise WrongClass("cuk_decompose requires a k-canonical underlying graph")
     a_mask = rep.swing_mask()
     red_swings = a_mask & core.red_mask()
-    assert red_swings.bit_count() == 1, "an S-max coloring has exactly one red swing vertex"
+    if red_swings.bit_count() != 1:
+        raise BrokenInvariant("an S-max coloring has exactly one red swing vertex")
     point_internal = red_swings.bit_length() - 1
     ps = PointedSet(tuple(c.labels[v] for v in rep.swings), c.labels[point_internal])
     keep = core.graph.vertex_mask() ^ a_mask

@@ -34,7 +34,7 @@ from .bijections import (
 from .enumeration import ClassTag, class_census, count_unlabeled, enumerate_labeled
 from .errors import InternalError, OutOfRange, SplitSpeciesError
 from .graphs import BicoloredGraph, Graph, graph_to_json, load_file, load_graph
-from .structure import ColoredSplitGraph, classify, swing_report
+from .structure import ColoredSplitGraph, classify_report, swing_report
 
 _CHAIN_KEYS = {
     ClassTag.BALANCED: "B",
@@ -111,8 +111,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classify(args) -> int:
     g = load_graph(args.graph)
     rep = swing_report(g)  # raises NotSplit -> exit 3
-    cls = classify(g)
-    _emit_json({"class": cls.value, "swing_report": rep.to_json()})
+    _emit_json({"class": classify_report(rep).value, "swing_report": rep.to_json()})
     return 0
 
 

@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import OutOfRange, TooLarge
+from .errors import BrokenInvariant, OutOfRange, TooLarge
 from .graphs import BicoloredGraph, Graph, bits_of, edge_bit, edge_pairs
 from .structure import ColoredSplitGraph
 
@@ -360,17 +360,23 @@ def class_census(n: int) -> Census:
 
 def _assert_census_identities(c: Census):
     """Internal consistency of the one-pass census, checked on every build."""
-    for counts in (c.labeled, c.unlabeled):
-        assert counts[ClassTag.SPLIT] == counts[ClassTag.BALANCED] + counts[ClassTag.UNBALANCED]
-        assert counts[ClassTag.UNBALANCED] == (
-            counts[ClassTag.K_CANONICAL] + counts[ClassTag.S_CANONICAL] + counts[ClassTag.AMBIGUOUS]
-        )
-        assert counts[ClassTag.K_CANONICAL] == counts[ClassTag.S_CANONICAL]
+    def require(ok: bool, kind: str, identity: str):
+        if not ok:
+            raise BrokenInvariant(f"{kind} census at n={c.n} breaks {identity}")
+
+    for kind, t in (("labeled", c.labeled), ("unlabeled", c.unlabeled)):
+        require(t[ClassTag.SPLIT] == t[ClassTag.BALANCED] + t[ClassTag.UNBALANCED],
+                kind, "S = B + U")
+        require(t[ClassTag.UNBALANCED] == (
+            t[ClassTag.K_CANONICAL] + t[ClassTag.S_CANONICAL] + t[ClassTag.AMBIGUOUS]
+        ), kind, "U = UK + US + Uamb")
+        require(t[ClassTag.K_CANONICAL] == t[ClassTag.S_CANONICAL], kind, "UK = US")
     # colored split graphs in excess of split graphs all come from k-canonical ones:
     # cS - cUK = S - UK
     lab = c.labeled
     cuk = colored_kcanonical_labeled(c.n)
-    assert lab[ClassTag.COLORED_SPLIT] - cuk == lab[ClassTag.SPLIT] - lab[ClassTag.K_CANONICAL]
+    require(lab[ClassTag.COLORED_SPLIT] - cuk == lab[ClassTag.SPLIT] - lab[ClassTag.K_CANONICAL],
+            "labeled", "cS - cUK = S - UK")
 
 
 def colored_kcanonical_labeled(n: int) -> int:

@@ -80,3 +80,7 @@ class InternalError(Exception):
 
 class NonIntegralResult(InternalError, ArithmeticError):
     """A quantity that must be an integer came out fractional or negative."""
+
+
+class BrokenInvariant(InternalError, AssertionError):
+    """A structural fact the package relies on did not hold."""

@@ -8,9 +8,13 @@ of swing vertices (vertices that can change sides between two partitions):
 * k-canonical  -- A is a clique of size >= 2;
 * s-canonical  -- A is a stable set of size >= 2.
 
-Swing vertices are computed definitionally, from the full list of partitions;
-at n <= 16 the exhaustive sweep over vertex subsets is cheap and serves as
-ground truth for everything else in the package.
+Swing vertices are computed definitionally, from the full list of partitions.
+That list comes from one partition and its one-vertex moves: the vertices of
+largest degree form a clique K0 and the rest a stable set S0 whenever the
+graph is split (Hammer and Simeone), and any other partition differs from
+(K0, S0) by at most one vertex leaving K0 and at most one joining it, so
+listing them takes O(n^2) bit tests.  Ground truth is not in the library:
+the subset-scan oracles in ``tests/conftest.py`` check these partitions.
 
 Conventions at the small end: the empty graph is balanced (its unique
 partition is empty/empty) and the one-vertex graph is ambiguous (its single
@@ -23,8 +27,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import NotAPartition, NotSMax, NotSplit, TooLarge
-from .graphs import Graph, bits_of, is_split, mask_of
+from .errors import BrokenInvariant, NotAPartition, NotSMax, NotSplit, TooLarge
+from .graphs import Graph, bits_of, mask_of
 
 KIND_EMPTY = "empty"
 KIND_SINGLETON = "singleton"
@@ -103,17 +107,37 @@ def is_stable(g: Graph, mask: int) -> bool:
 def ks_partitions(g: Graph) -> list[KSPartition]:
     """All clique/stable-set partitions of g, ordered by ascending K bit word.
 
-    Empty iff g is not split.
+    Empty iff g is not split.  With degrees d_1 >= ... >= d_n and
+    m = max{i : d_i >= i - 1}, the first m vertices K0 form a clique and the
+    rest S0 a stable set iff g is split (Hammer and Simeone).  A clique meets
+    S0 in at most one vertex and a stable set meets K0 in at most one, so
+    every other partition is K0 - v, K0 + u or K0 - v + u (v in K0, u in
+    S0).  No u in S0 sees all of K0 (its degree would be >= m and push m
+    up), so K0 + u never occurs and the u of K0 - v + u misses v: both
+    remaining moves need a v with no neighbour in S0, and K0 - v + u needs
+    a u adjacent to all of K0 - v.
     """
     if g.n > 16:
         raise TooLarge("partition enumeration requires n <= 16")
+    rows = g.rows
+    order = sorted(range(g.n), key=lambda v: rows[v].bit_count(), reverse=True)
+    m = 0
+    for i, v in enumerate(order):
+        if rows[v].bit_count() >= i:
+            m = i + 1
     full = g.vertex_mask()
-    out = []
-    for km in range(full + 1):
-        sm = full ^ km
-        if is_clique(g, km) and is_stable(g, sm):
-            out.append(KSPartition(bits_of(km), bits_of(sm)))
-    return out
+    k0 = mask_of(order[:m])
+    s0 = full ^ k0
+    if not (is_clique(g, k0) and is_stable(g, s0)):
+        return []
+    kms = [k0]
+    for v in bits_of(k0):
+        if rows[v] & s0:
+            continue
+        kv = k0 ^ 1 << v
+        kms.append(kv)
+        kms.extend(kv | 1 << u for u in bits_of(s0) if rows[u] & kv == kv)
+    return [KSPartition(bits_of(km), bits_of(full ^ km)) for km in sorted(kms)]
 
 
 def clique_number(g: Graph) -> int:
@@ -173,9 +197,10 @@ def swing_report(g: Graph) -> SwingReport:
         kind = KIND_SINGLETON
     elif is_clique(g, swings):
         kind = KIND_CLIQUE
-    else:
-        assert is_stable(g, swings), "swing set neither clique nor stable"
+    elif is_stable(g, swings):
         kind = KIND_STABLE
+    else:
+        raise BrokenInvariant("swing set neither clique nor stable")
     return SwingReport(bits_of(swings), kind, bits_of(y), bits_of(z))
 
 
@@ -257,7 +282,8 @@ class ColoredSplitGraph:
             raise NotAPartition("green and red must partition the vertex set (sorted, disjoint)")
         if not is_clique(g, gm) or not is_stable(g, rm):
             raise NotAPartition("green must induce a clique and red a stable set")
-        if len(self.red) != independence_number(g):
+        # alpha(g) = |red| + [some green vertex has no red neighbour]
+        if any(not g.rows[v] & rm for v in self.green):
             raise NotSMax("the red side does not have maximum size")
 
     @property

@@ -282,3 +282,16 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "3")
     assert code == 4 and out == ""
     assert err == "error: internal invariant failed: double-sum total for n=1 leaves remainder 1\n"
+
+
+def test_broken_swing_invariant_exits_4(capsys, tmp_path, monkeypatch):
+    """A partition list whose swing set is neither a clique nor a stable set
+    is a bug, not bad input: exit 4, not 3."""
+    from splitspecies import structure
+
+    monkeypatch.setattr(structure, "ks_partitions",
+                        lambda g: [structure.KSPartition((), (0, 1, 2))])
+    path = write_graph(tmp_path, "edge.g", "3\n0 1\n")
+    code, out, err = run_cli(capsys, "classify", "--graph", path)
+    assert code == 4 and out == ""
+    assert err == "error: internal invariant failed: swing set neither clique nor stable\n"

@@ -1,5 +1,6 @@
 """The enumeration oracle: labeled sweeps, orbit counting, census identities."""
 
+import dataclasses
 import json
 import os
 
@@ -13,7 +14,7 @@ from splitspecies.enumeration import (
     count_unlabeled,
     enumerate_labeled,
 )
-from splitspecies.errors import TooLarge
+from splitspecies.errors import InternalError, TooLarge
 from splitspecies.graphs import (
     BicoloredGraph,
     Graph,
@@ -170,6 +171,19 @@ def test_census_golden_files(census7):
             golden = Census.from_json(json.load(f))
         assert golden.labeled == census7[n].labeled
         assert golden.unlabeled == census7[n].unlabeled
+
+
+@pytest.mark.parametrize("kind", ["labeled", "unlabeled"])
+def test_broken_census_identity_raises_internal_error(census7, kind):
+    from splitspecies.enumeration import _assert_census_identities
+
+    good = census7[5]
+    _assert_census_identities(good)
+    counts = dict(getattr(good, kind))
+    counts[ClassTag.K_CANONICAL] += 1  # breaks UK = US and U = UK + US + Uamb
+    broken = dataclasses.replace(good, **{kind: counts})
+    with pytest.raises(InternalError, match=f"{kind} census at n=5"):
+        _assert_census_identities(broken)
 
 
 def test_census_serialization_round_trip(census7):

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from splitspecies.errors import NotAPartition, NotSMax, NotSplit, TooLarge
-from splitspecies.graphs import Graph, complement, make_graph
+from splitspecies.graphs import Graph, complement, make_graph, relabel
 from splitspecies.structure import (
     ColoredSplitGraph,
     KSPartition,
@@ -74,6 +74,82 @@ def test_ks_partitions_match_subset_oracle_sampled_n6():
         g = Graph.from_edge_word(6, rng.getrandbits(15))
         got = {(frozenset(p.k), frozenset(p.s)) for p in ks_partitions(g)}
         assert got == set(oracle_partitions(g))
+
+
+def _random_split_graph(rng, n):
+    """Clique K plus stable set S plus random K-S edges, then permuted.
+
+    The cross-edge density is drawn from 0, 1/2 and 1, so many vertices on
+    either side share a degree.
+    """
+    k = rng.randint(0, n)
+    p = rng.choice([0.0, 0.5, 1.0])
+    edges = [(i, j) for j in range(k) for i in range(j)]
+    edges += [(i, j) for i in range(k) for j in range(k, n) if rng.random() < p]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(make_graph(n, edges), perm)
+
+
+def _oracle_swing_report(g):
+    """Swing set, Y, Z and kind, from the oracle's partitions and edge tests."""
+    parts = set(oracle_partitions(g))
+    verts = frozenset(range(g.n))
+    swings = {v for k, s in parts for v in verts if (k ^ {v}, s ^ {v}) in parts}
+    y = verts.intersection(*(k for k, _ in parts)) - swings
+    z = verts.intersection(*(s for _, s in parts)) - swings
+    pairs = [g.has_edge(a, b) for a in swings for b in swings if a < b]
+    if len(swings) < 2:
+        kind = ("empty", "singleton")[len(swings)]
+    elif all(pairs):
+        kind = "clique"
+    else:
+        kind = "stable" if not any(pairs) else "neither"
+    return tuple(sorted(swings)), kind, tuple(sorted(y)), tuple(sorted(z))
+
+
+def test_ks_partitions_and_swings_match_oracle_on_random_split_graphs():
+    """n = 7..12: seeded split graphs with degree ties, and four one-edge
+    flips of each (some not split), against the subset-scan oracle."""
+    rng = random.Random(2024)
+    boundary_ties = non_split = 0
+    for n in range(7, 13):
+        for _ in range(6):
+            g = _random_split_graph(rng, n)
+            degs = sorted((g.degree(v) for v in range(n)), reverse=True)
+            m = max((i + 1 for i, d in enumerate(degs) if d >= i), default=0)
+            boundary_ties += 0 < m < n and degs[m - 1] == degs[m]
+            flips = [Graph.from_edge_word(n, g.edge_word() ^ 1 << e)
+                     for e in rng.sample(range(n * (n - 1) // 2), 4)]
+            for h in [g] + flips:
+                expected = set(oracle_partitions(h))
+                got = ks_partitions(h)
+                assert {(frozenset(p.k), frozenset(p.s)) for p in got} == expected
+                assert [p.k_mask() for p in got] == sorted(p.k_mask() for p in got)
+                if not expected:
+                    non_split += 1
+                    with pytest.raises(NotSplit):
+                        swing_report(h)
+                    continue
+                rep = swing_report(h)
+                assert (rep.swings, rep.kind, rep.y, rep.z) == _oracle_swing_report(h)
+    assert boundary_ties >= 10 and non_split >= 10, (boundary_ties, non_split)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_colored_validation_raises_not_s_max_iff_red_below_alpha(n):
+    from splitspecies.enumeration import _split_words
+
+    for word in _split_words(n).tolist():
+        g = Graph.from_edge_word(n, word)
+        alpha = oracle_alpha(g)
+        for k, s in oracle_partitions(g):
+            k, s = tuple(sorted(k)), tuple(sorted(s))
+            if len(s) < alpha:
+                with pytest.raises(NotSMax):
+                    ColoredSplitGraph(g, k, s)
+            else:
+                assert ColoredSplitGraph(g, k, s).red == s
 
 
 def test_swing_report_examples():
