@@ -21,7 +21,7 @@ import mpmath
 
 from .counting import bicolored_labeled, split_labeled
 from .errors import OutOfRange, TooLarge
-from .series import derive_labeled_chain
+from .series import derive_labeled_chain, derive_unlabeled_chain
 
 DEFAULT_BITS = 256
 
@@ -65,6 +65,11 @@ def _ratio_at_least_sqrt2_power(x_n: int, x_prev: int, n: int) -> bool:
     return x_n * x_n >= (1 << (n + 1)) * x_prev * x_prev
 
 
+def _u_over_s_within_bound(u_n: int, s_n: int, n: int) -> bool:
+    """u_n / s_n <= n^2 / 2^{(n+1)/2}, exactly, via squaring."""
+    return (1 << (n + 1)) * u_n * u_n <= n**4 * s_n * s_n
+
+
 def check_b_ratio(n_max: int, kind: str = "bicolored") -> list[int]:
     """All n <= n_max violating x_n/x_{n-1} >= 2^{(n+1)/2} (exact check).
 
@@ -72,7 +77,7 @@ def check_b_ratio(n_max: int, kind: str = "bicolored") -> list[int]:
     The violations form an initial segment; past it the inequality holds.
     """
     if n_max > 500:
-        raise ValueError("ratio checks are capped at n_max <= 500")
+        raise TooLarge("ratio checks are capped at n_max <= 500")
     counter = {"bicolored": bicolored_labeled, "split": split_labeled}[kind]
     prev = counter(0)
     violations = []
@@ -88,13 +93,9 @@ def check_b_ratio_unlabeled(base: list[int]) -> list[int]:
     """Violations of b~_n/b~_{n-1} >= 2^{(n+1)/2}/n on supplied unlabeled data.
 
     ``base`` holds unlabeled split counts s~_0..s~_m; the bicolored values
-    are their partial sums.
+    are their partial sums, read off the unlabeled chain.
     """
-    btilde = []
-    total = 0
-    for s in base:
-        total += s
-        btilde.append(total)
+    btilde = derive_unlabeled_chain(len(base) - 1, base)["BC"]
     violations = []
     for n in range(1, len(btilde)):
         if n * n * btilde[n] ** 2 < (1 << (n + 1)) * btilde[n - 1] ** 2:
@@ -105,11 +106,10 @@ def check_b_ratio_unlabeled(base: list[int]) -> list[int]:
 def u_over_s_bound_violations(n_max: int) -> list[int]:
     """All n <= n_max violating u_n/s_n <= n^2 / 2^{(n+1)/2} (exact check)."""
     chain = derive_labeled_chain(max(n_max, 8))
-    u = chain["U"].counts()
-    s = chain["S"].counts()
+    u, s = chain["U"], chain["S"]
     violations = []
     for n in range(1, n_max + 1):
-        if (1 << (n + 1)) * u[n] ** 2 > n**4 * s[n] ** 2:
+        if not _u_over_s_within_bound(u[n], s[n], n):
             violations.append(n)
     return violations
 
@@ -120,8 +120,7 @@ def u_over_s_monotone_from(n_max: int) -> int:
     Comparisons are exact cross-multiplications.
     """
     chain = derive_labeled_chain(max(n_max, 8))
-    u = chain["U"].counts()
-    s = chain["S"].counts()
+    u, s = chain["U"], chain["S"]
     threshold = 1
     for n in range(1, n_max):
         # decreasing step n -> n+1 means u_{n+1} s_n < u_n s_{n+1}
@@ -210,37 +209,30 @@ def ratio_report(n_max: int, bits: int = DEFAULT_BITS,
     if bits < 64:
         raise OutOfRange(f"use at least 64 bits, got {bits}")
     chain = derive_labeled_chain(max(n_max, 8))
-    u = chain["U"].counts()
-    s = chain["S"].counts()
+    u, s = chain["U"], chain["S"]
     report = RatioReport(bits=bits)
     with mpmath.workprec(bits + 16):
         for n in range(1, n_max + 1):
             b_n = bicolored_labeled(n)
             asym = asymptotic_bicolored(n, bits)
             bound = mpmath.mpf(n * n) / mpmath.mpf(2) ** (mpmath.mpf(n + 1) / 2)
-            holds = (1 << (n + 1)) * u[n] ** 2 <= n**4 * s[n] ** 2
             report.rows.append(RatioRow(
                 n=n,
                 b_ratio=+(mpmath.mpf(b_n) / asym),
                 s_over_b=+(mpmath.mpf(s[n]) / mpmath.mpf(b_n)),
                 u_over_s=+(mpmath.mpf(u[n]) / mpmath.mpf(s[n])),
                 bound=+bound,
-                bound_holds=holds,
+                bound_holds=_u_over_s_within_bound(u[n], s[n], n),
             ))
         if unlabeled_base is not None:
-            btilde = 0
-            prev = []
-            for n, s_t in enumerate(unlabeled_base):
-                u_t = sum(prev)
-                btilde += s_t
-                prev.append(s_t)
-                if n == 0:
-                    continue
+            tilde = derive_unlabeled_chain(len(unlabeled_base) - 1, unlabeled_base)
+            for n in range(1, len(unlabeled_base)):
+                s_t, b_t, u_t = tilde["S"][n], tilde["BC"][n], tilde["U"][n]
                 report.unlabeled_rows.append(UnlabeledRatioRow(
-                    n=n, s_tilde=s_t, b_tilde=btilde, u_tilde=u_t,
-                    s_over_b=+(mpmath.mpf(s_t) / btilde),
+                    n=n, s_tilde=s_t, b_tilde=b_t, u_tilde=u_t,
+                    s_over_b=+(mpmath.mpf(s_t) / b_t),
                     u_over_s=+(mpmath.mpf(u_t) / s_t),
-                    scaled_labeled=+(mpmath.mpf(btilde) * factorial(n) / bicolored_labeled(n)),
+                    scaled_labeled=+(mpmath.mpf(b_t) * factorial(n) / bicolored_labeled(n)),
                 ))
     return report
 

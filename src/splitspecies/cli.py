@@ -17,6 +17,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import accumulate
 
 from . import counting
 from .counting import decimal
@@ -304,11 +305,21 @@ def _cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+def _parse_unlabeled_base(text: str) -> list[int]:
+    """Unlabeled split counts s~_0..s~_m: positive integers, none below the sum
+    of those before it (that difference counts the unlabeled balanced graphs)."""
+    values = json.loads(text)["values"]
+    if not isinstance(values, list) or not all(type(v) is int and v > 0 for v in values):
+        raise ValueError('"values" must be a JSON list of positive integers')
+    if any(v < total for v, total in zip(values, accumulate(values, initial=0))):
+        raise ValueError('"values" must each be at least the sum of those before it')
+    return values
+
+
 def _cmd_asym(args) -> int:
     base = None
     if args.unlabeled_base:
-        base = load_file(args.unlabeled_base,
-                         lambda text: [int(v) for v in json.loads(text)["values"]])
+        base = load_file(args.unlabeled_base, _parse_unlabeled_base)
     report = ratio_report(_size(args.max_n), bits=args.bits, unlabeled_base=base)
     if args.format == "json":
         _emit_json(report.to_json())

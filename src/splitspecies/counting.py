@@ -79,7 +79,7 @@ def chain_count(key: str, n: int, *, upto: bool = False) -> int | list[int]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    counts = derive_labeled_chain(n)[key].counts()
+    counts = derive_labeled_chain(n)[key]
     return counts if upto else counts[n]
 
 
@@ -147,19 +147,15 @@ def cross_check(max_n: int, include_oracle: bool = True) -> CrossCheckReport:
         from .enumeration import ClassTag, class_census
 
         chain = derive_labeled_chain(8)
-        s_counts = chain["S"].counts()
-        u_counts = chain["U"].counts()
-        b_counts = chain["B"].counts()
-        cs_counts = chain["cS"].counts()
         for n in range(0, min(max_n, 6) + 1):
             census = class_census(n)
             checks = [
                 ("oracle-bicolored", bicolored_labeled(n), census.labeled[ClassTag.BICOLORED]),
                 ("oracle-split", split_labeled(n), census.labeled[ClassTag.SPLIT]),
-                ("oracle-unbalanced", u_counts[n], census.labeled[ClassTag.UNBALANCED]),
-                ("oracle-balanced", b_counts[n], census.labeled[ClassTag.BALANCED]),
-                ("oracle-split-series", s_counts[n], census.labeled[ClassTag.SPLIT]),
-                ("oracle-colored-split", cs_counts[n], census.labeled[ClassTag.COLORED_SPLIT]),
+                ("oracle-unbalanced", chain["U"][n], census.labeled[ClassTag.UNBALANCED]),
+                ("oracle-balanced", chain["B"][n], census.labeled[ClassTag.BALANCED]),
+                ("oracle-split-series", chain["S"][n], census.labeled[ClassTag.SPLIT]),
+                ("oracle-colored-split", chain["cS"][n], census.labeled[ClassTag.COLORED_SPLIT]),
                 ("oracle-colored-equals-bicolored-star", census.labeled[ClassTag.COLORED_SPLIT],
                  census.labeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN]),
             ]
@@ -170,13 +166,13 @@ def cross_check(max_n: int, include_oracle: bool = True) -> CrossCheckReport:
         top = min(max_n, 7)
         base = [class_census(n).unlabeled[ClassTag.SPLIT] for n in range(top + 1)]
         unlabeled = derive_unlabeled_chain(top, base)
-        u_tilde = unlabeled["U"].counts()
-        bc_tilde = unlabeled["BC"].counts()
         for n in range(0, top + 1):
             census = class_census(n)
             checks = [
-                ("oracle-unlabeled-unbalanced", u_tilde[n], census.unlabeled[ClassTag.UNBALANCED]),
-                ("oracle-unlabeled-bicolored", bc_tilde[n], census.unlabeled[ClassTag.BICOLORED]),
+                ("oracle-unlabeled-unbalanced", unlabeled["U"][n],
+                 census.unlabeled[ClassTag.UNBALANCED]),
+                ("oracle-unlabeled-bicolored", unlabeled["BC"][n],
+                 census.unlabeled[ClassTag.BICOLORED]),
                 ("oracle-unlabeled-colored-split", census.unlabeled[ClassTag.SPLIT],
                  census.unlabeled[ClassTag.COLORED_SPLIT]),
             ]

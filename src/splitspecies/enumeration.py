@@ -431,16 +431,12 @@ def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
 
 def count_labeled(n: int, tag: ClassTag) -> int:
     """Number of labeled structures, by enumeration (vectorized where large)."""
+    _check_limit(n, tag)
     if tag is ClassTag.ALL_GRAPHS:
-        if n > 8:
-            raise TooLarge("all-graphs counting supports n <= 8")
         return 1 << (n * (n - 1) // 2)
     if tag is ClassTag.SPLIT:
-        _check_limit(n, tag)
         return len(_split_words(n))
-    _check_limit(n, tag)
-    census = class_census(n)
-    return census.labeled[tag]
+    return class_census(n).labeled[tag]
 
 
 def count_unlabeled(n: int, tag: ClassTag) -> int:
@@ -451,10 +447,6 @@ def count_unlabeled(n: int, tag: ClassTag) -> int:
         edge_bits, _ = _perm_tables(8)
         return len(_orbit_reps(words, lambda w: _word_orbit(w, edge_bits)))
     return class_census(n).unlabeled[tag]
-
-
-def census_range(max_n: int) -> list[Census]:
-    return [class_census(n) for n in range(max_n + 1)]
 
 
 def write_census_files(directory: str, max_n: int = 7):

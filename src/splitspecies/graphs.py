@@ -197,9 +197,6 @@ def canonical_code_bicolored(b: "BicoloredGraph") -> bytes:
         key = (gm << nbits) | word
         if best is None or key < best:
             best = key
-    assert best is not None or g.n == 0
-    if g.n == 0:
-        best = 0
     return b"B" + bytes([g.n]) + best.to_bytes(5, "big")
 
 

@@ -20,9 +20,12 @@ A_FACTOR and U_FACTOR_LABELED are two routes to the same function, the
 multiplier that turns the split-graph series into the unbalanced-split-graph
 series; computing both and comparing is one of the package's sanity checks.
 
-``derive_labeled_chain`` builds every labeled class series from the bicolored
-closed form alone, in integer arithmetic on the counts; ``derive_unlabeled_chain``
-builds the unlabeled ones from a supplied base of unlabeled split counts.
+The derivation chains return integer counts, not series:
+``derive_labeled_chain`` gets every labeled class from the bicolored closed
+form alone by binomial convolutions of count lists, and
+``derive_unlabeled_chain`` gets the unlabeled ones from a supplied base of
+unlabeled split counts by running sums.  ``RationalSeries`` products of the
+named atoms are their independent check; no production path builds one.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import enum
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 from typing import Sequence
 
@@ -132,20 +136,6 @@ class RationalSeries:
             out.append(acc * inv_b0)
         return RationalSeries(tuple(out), a.convention)
 
-    def scaled(self, q) -> "RationalSeries":
-        q = Fraction(q)
-        return RationalSeries(tuple(q * c for c in self.coeffs), self.convention)
-
-    def counts_decimal(self) -> list[str]:
-        """Counts as decimal strings (they exceed 64-bit range quickly)."""
-        return [decimal(v) for v in self.counts()]
-
-    def to_json(self) -> dict:
-        return {
-            "convention": self.convention,
-            "coeffs": [f"{decimal(c.numerator)}/{decimal(c.denominator)}" for c in self.coeffs],
-        }
-
 
 def _aligned(a: RationalSeries, b: RationalSeries) -> tuple[RationalSeries, RationalSeries]:
     if a.convention != b.convention:
@@ -217,20 +207,26 @@ def named(name: SeriesName, convention: str, order: int) -> RationalSeries:
 MAX_CHAIN_ORDER = 400
 
 
-def derive_labeled_chain(order: int) -> dict[str, RationalSeries]:
-    """All labeled class series, derived from the bicolored closed form.
+def _check_non_negative(counts: dict[str, list[int]]) -> None:
+    for key, values in counts.items():
+        for i, count in enumerate(values):
+            if count < 0:
+                raise NonIntegralResult(f"{key} count at {i} is negative")
 
-    Returns egf-convention series keyed "BC", "S", "U", "B", "cS", "UK",
-    "Uamb":
+
+def derive_labeled_chain(order: int) -> dict[str, list[int]]:
+    """All labeled class counts at sizes 0..order, from the bicolored closed form.
+
+    Returns count lists keyed "BC", "S", "U", "B", "cS", "UK", "Uamb", the
+    egf identities
 
         S    = (1 - x) BC          U  = A * S          B = S - U
         cS   = BC / E              UK = E_{>=2} * cS   Uamb = x * B
 
-    The counts are computed in integers, each product or quotient above as a
-    binomial convolution of count sequences, with a_k = k! [x^k] A from
-    a_k = k a_{k-1} - 2(-1)^k.  The RationalSeries arithmetic stays the
-    independent check of these identities.  Every count is checked to be
-    non-negative.
+    read on counts: each product or quotient above is a binomial convolution
+    of count lists, with a_k = k! [x^k] A from a_k = k a_{k-1} - 2(-1)^k.
+    The same products of RationalSeries atoms are the independent check of
+    these identities.  Every count is checked to be non-negative.
     """
     if order > MAX_CHAIN_ORDER:
         raise TooLarge(f"chain order capped at {MAX_CHAIN_ORDER}")
@@ -250,33 +246,25 @@ def derive_labeled_chain(order: int) -> dict[str, RationalSeries]:
     b = [x - y for x, y in zip(s, u)]
     uamb = [n * b[n - 1] if n else 0 for n in range(order + 1)]
     counts = {"BC": bc, "S": s, "U": u, "B": b, "cS": cs, "UK": uk, "Uamb": uamb}
-    for key, values in counts.items():
-        for i, count in enumerate(values):
-            if count < 0:
-                raise NonIntegralResult(f"{key} count at {i} is negative")
-    factorials = [1]
-    for i in range(1, order + 1):
-        factorials.append(factorials[-1] * i)
-    return {key: RationalSeries(tuple(Fraction(c, f) for c, f in zip(values, factorials)), EGF)
-            for key, values in counts.items()}
+    _check_non_negative(counts)
+    return counts
 
 
-def derive_unlabeled_chain(order: int, base: Sequence[int]) -> dict[str, RationalSeries]:
-    """Unlabeled class series from a base of unlabeled split counts s~_0..s~_m.
+def derive_unlabeled_chain(order: int, base: Sequence[int]) -> dict[str, list[int]]:
+    """Unlabeled class counts at sizes 0..order, from unlabeled split counts s~_0..s~_m.
 
-    Returns ogf-convention series keyed "S", "U", "B", "BC":
+    Returns count lists keyed "S", "U", "B", "BC", the ogf identities
 
         U = x/(1-x) * S        BC = 1/(1-x) * S        B = S - U
+
+    read on counts: BC_n = s~_0 + ... + s~_n and U_n = BC_n - s~_n.
     """
     if order >= len(base):
         raise InsufficientBase(f"need {order + 1} base terms, got {len(base)}")
-    s = from_fractions(list(base[: order + 1]), OGF)
-    u = named(SeriesName.U_FACTOR_UNLABELED, OGF, order) * s
-    bc = named(SeriesName.GEOMETRIC, OGF, order) * s
-    b = s - u
-    chain = {"S": s, "U": u, "B": b, "BC": bc}
-    for key, ser in chain.items():
-        for i, count in enumerate(ser.counts()):
-            if count < 0:
-                raise NonIntegralResult(f"{key} count at {i} is negative: {count}")
-    return chain
+    s = list(base[: order + 1])
+    bc = list(accumulate(s))
+    u = [t - x for t, x in zip(bc, s)]
+    b = [x - y for x, y in zip(s, u)]
+    counts = {"S": s, "U": u, "B": b, "BC": bc}
+    _check_non_negative(counts)
+    return counts

@@ -37,7 +37,17 @@ from splitspecies.counting import (
 )
 from splitspecies.enumeration import ClassTag, enumerate_labeled
 from splitspecies.graphs import Graph, relabel
-from splitspecies.series import EGF, SeriesName, derive_labeled_chain, named
+from splitspecies.series import (
+    EGF,
+    OGF,
+    SeriesName,
+    constant,
+    convert,
+    derive_labeled_chain,
+    from_fractions,
+    monomial,
+    named,
+)
 from splitspecies.structure import SplitClass, all_colorings, classify
 
 
@@ -57,9 +67,9 @@ def test_criterion_1_formula_agreement_to_318():
 
 def test_criterion_2_labeled_oracle_vs_formulas(census7):
     chain = derive_labeled_chain(7)
-    s_counts = chain["S"].counts()
-    u_counts = chain["U"].counts()
-    b_counts = chain["B"].counts()
+    s_counts = chain["S"]
+    u_counts = chain["U"]
+    b_counts = chain["B"]
     assert [split_labeled(n) for n in range(1, 7)] == [1, 2, 8, 58, 632, 9654]
     for n in range(0, 7):
         lab = census7[n].labeled
@@ -188,16 +198,29 @@ def test_criterion_4_bijection_suite(census7):
 
 
 def test_criterion_5_series_integrality_to_100():
-    chain = derive_labeled_chain(100)
-    for key in ("S", "U", "B", "cS", "UK", "Uamb"):
-        counts = chain[key].counts()  # raises if any n! * coeff is fractional
-        assert len(counts) == 101
+    """The class series, built as RationalSeries products from the bicolored
+    closed form alone, have integer counts equal to the integer chain."""
+    order = 100
+    chain = derive_labeled_chain(order)
+    one = constant(1, EGF, order)
+    x = monomial(EGF, order)
+    a = named(SeriesName.A_FACTOR, EGF, order)
+    bc = convert(from_fractions([bicolored_labeled(n) for n in range(order + 1)], OGF), EGF)
+    series = {"BC": bc, "S": (one - x) * bc}
+    series["U"] = a * series["S"]
+    series["B"] = series["S"] - series["U"]
+    series["cS"] = bc / named(SeriesName.E, EGF, order)
+    series["UK"] = named(SeriesName.E_GE2, EGF, order) * series["cS"]
+    series["Uamb"] = x * series["B"]
+    assert series.keys() == chain.keys()
+    for key, ser in series.items():
+        counts = ser.counts()  # raises if any n! * coeff is fractional
+        assert counts == chain[key], key
         assert all(v >= 0 for v in counts), key
-    a = named(SeriesName.A_FACTOR, EGF, 100)
     assert a.coeff(0) == 0
-    assert all(0 <= a.coeff(i) <= 1 for i in range(101))
-    report(5, "all class series have non-negative integer counts to n = 100; "
-              "0 <= a_i <= 1 with a_0 = 0")
+    assert all(0 <= a.coeff(i) <= 1 for i in range(order + 1))
+    report(5, "class series from the bicolored closed form have non-negative integer "
+              "counts equal to the integer chain to n = 100; 0 <= a_i <= 1 with a_0 = 0")
 
 
 def test_criterion_6_asymptotics():
@@ -210,8 +233,8 @@ def test_criterion_6_asymptotics():
     ratio_200 = mpmath.mpf(bicolored_labeled(200)) / asymptotic_bicolored(200)
     assert abs(ratio_200 - 1) < mpmath.mpf("0.01")
     chain = derive_labeled_chain(200)
-    u = chain["U"].counts()
-    s = chain["S"].counts()
+    u = chain["U"]
+    s = chain["S"]
     for n in range(2, 201):  # threshold pinned at 2 (only n = 1 violates)
         assert (1 << (n + 1)) * u[n] ** 2 <= n**4 * s[n] ** 2, n
     report(6, "parity constants to 6 decimals; |b_n/asym - 1| < 1% at 200 and "

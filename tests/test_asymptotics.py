@@ -16,6 +16,7 @@ from splitspecies.asymptotics import (
     u_over_s_monotone_from,
 )
 from splitspecies.counting import bicolored_labeled, split_labeled, unbalanced_labeled
+from splitspecies.errors import TooLarge
 
 from conftest import S_UNLABELED, TESTDATA
 
@@ -87,6 +88,11 @@ def test_ratio_violations_match_pinned_thresholds():
     assert u_over_s_monotone_from(120) == pins["u_over_s_monotone_from"]
 
 
+def test_b_ratio_check_too_large():
+    with pytest.raises(TooLarge):
+        check_b_ratio(501)
+
+
 def test_violations_form_initial_segment():
     viol = check_b_ratio(120, "split")
     assert viol == list(range(1, len(viol) + 1))
@@ -123,6 +129,12 @@ def test_ratio_report_shape_and_flags():
     csv = report.to_csv()
     assert csv.splitlines()[0].startswith("n,b_ratio")
     assert report.to_csv() == csv  # deterministic
+
+
+def test_short_unlabeled_base_gives_no_rows():
+    for base in ([], [1]):
+        assert ratio_report(5, unlabeled_base=base).unlabeled_rows == []
+        assert check_b_ratio_unlabeled(base) == []
 
 
 def test_ratio_report_bound_column_is_exact():

@@ -246,6 +246,18 @@ BAD_INVOCATIONS = {
     "verify-negative-max-n": (["verify", "--suite", "identities", "--max-n", "-1"], None, 3),
     "asym-negative-max-n": (["asym", "--max-n", "-1"], None, 3),
     "asym-too-few-bits": (["asym", "--max-n", "5", "--bits", "63"], None, 3),
+    "asym-base-zero": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
+                       '{"values": [1, 0, 2]}', 3),
+    "asym-base-negative": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
+                           '{"values": [1, -1, 2]}', 3),
+    "asym-base-float": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
+                        '{"values": [1, 1.5]}', 3),
+    "asym-base-string": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
+                         '{"values": "12"}', 3),
+    "asym-base-bool": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
+                       '{"values": [1, true]}', 3),
+    "asym-base-below-partial-sum": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
+                                    '{"values": [1, 5, 2]}', 3),
     "uk-decompose-without-graph": (["biject", "--map", "uk-decompose"], None, 2),
     "colored-map-without-input": (["biject", "--map", "cuk-decompose"], None, 2),
 }

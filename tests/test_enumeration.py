@@ -14,7 +14,7 @@ from splitspecies.enumeration import (
     count_unlabeled,
     enumerate_labeled,
 )
-from splitspecies.errors import InternalError, TooLarge
+from splitspecies.errors import InternalError, OutOfRange, TooLarge
 from splitspecies.graphs import (
     BicoloredGraph,
     Graph,
@@ -84,6 +84,16 @@ def test_count_labeled_examples():
     assert count_labeled(4, ClassTag.BICOLORED) == 162
     assert count_labeled(0, ClassTag.SPLIT) == 1
     assert count_labeled(6, ClassTag.BICOLORED) == 18306
+
+
+def test_count_labeled_all_graphs_checks_size():
+    assert count_labeled(8, ClassTag.ALL_GRAPHS) == 1 << 28
+    with pytest.raises(OutOfRange):
+        count_labeled(-1, ClassTag.ALL_GRAPHS)
+    with pytest.raises(OutOfRange):
+        count_labeled(-2, ClassTag.ALL_GRAPHS)
+    with pytest.raises(TooLarge):
+        count_labeled(9, ClassTag.ALL_GRAPHS)
 
 
 @pytest.mark.parametrize("n", range(0, 8))

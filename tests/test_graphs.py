@@ -197,6 +197,10 @@ def test_canonical_code_bicolored_colors_not_interchangeable():
     assert canonical_code_bicolored(one_green) != canonical_code_bicolored(one_red)
 
 
+def test_canonical_code_bicolored_empty_graph():
+    assert canonical_code_bicolored(make_bicolored(0, [], [])) == b"B\x00" + bytes(5)
+
+
 def test_canonical_code_bicolored_invariance():
     b = make_bicolored(2, [], [0, 1])  # two isolated green vertices
     b_swapped = make_bicolored(2, [], [0, 1])

@@ -24,7 +24,21 @@ from splitspecies.series import (
     named,
 )
 
-from conftest import B_LABELED, BC_LABELED, CS_LABELED, S_LABELED, U_LABELED, UAMB_LABELED, UK_LABELED
+from conftest import (
+    B_LABELED,
+    BC_LABELED,
+    CS_LABELED,
+    S_LABELED,
+    S_UNLABELED,
+    U_LABELED,
+    UAMB_LABELED,
+    UK_LABELED,
+)
+
+
+def egf_of(counts):
+    """The egf series whose n! [x^n] is counts[n]."""
+    return convert(from_fractions(counts, OGF), EGF)
 
 
 def test_atom_values():
@@ -137,13 +151,13 @@ def test_counts_rejects_non_integers():
 
 def test_labeled_chain_matches_frozen_counts():
     chain = derive_labeled_chain(7)
-    assert chain["S"].counts() == S_LABELED
-    assert chain["U"].counts() == U_LABELED
-    assert chain["B"].counts() == B_LABELED
-    assert chain["cS"].counts() == CS_LABELED
-    assert chain["UK"].counts() == UK_LABELED
-    assert chain["Uamb"].counts() == UAMB_LABELED
-    assert chain["BC"].counts() == BC_LABELED
+    assert chain["S"] == S_LABELED
+    assert chain["U"] == U_LABELED
+    assert chain["B"] == B_LABELED
+    assert chain["cS"] == CS_LABELED
+    assert chain["UK"] == UK_LABELED
+    assert chain["Uamb"] == UAMB_LABELED
+    assert chain["BC"] == BC_LABELED
 
 
 def test_labeled_chain_bc_over_e_matches_bicolored_star_oracle(census7):
@@ -151,7 +165,7 @@ def test_labeled_chain_bc_over_e_matches_bicolored_star_oracle(census7):
     from splitspecies.enumeration import ClassTag
 
     chain = derive_labeled_chain(6)
-    star = chain["BC"] / named(SeriesName.E, EGF, 6)
+    star = egf_of(chain["BC"]) / named(SeriesName.E, EGF, 6)
     assert star.counts() == [
         census7[n].labeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN] for n in range(7)
     ]
@@ -160,7 +174,7 @@ def test_labeled_chain_bc_over_e_matches_bicolored_star_oracle(census7):
 def test_integer_chain_matches_series_products_to_60():
     """Each integer convolution of the chain equals its RationalSeries product."""
     order = 60
-    chain = derive_labeled_chain(order)
+    chain = {key: egf_of(counts) for key, counts in derive_labeled_chain(order).items()}
     one = constant(1, EGF, order)
     x = monomial(EGF, order)
     assert ((one - x) * chain["BC"]).coeffs == chain["S"].coeffs
@@ -173,22 +187,48 @@ def test_integer_chain_matches_series_products_to_60():
 
 def test_labeled_chain_integrality_to_100():
     chain = derive_labeled_chain(100)
-    for key, series in chain.items():
-        counts = series.counts()  # would raise NonIntegralResult
+    for key, counts in chain.items():
         assert all(v >= 0 for v in counts), key
 
 
 def test_unlabeled_chain():
     base = [1, 1, 2, 4, 9, 21, 56, 164]
     chain = derive_unlabeled_chain(7, base)
-    assert chain["U"].counts() == [0, 1, 2, 4, 8, 17, 38, 94]
-    assert chain["BC"].counts() == [1, 2, 4, 8, 17, 38, 94, 258]
-    assert chain["B"].counts() == [1, 0, 0, 0, 1, 4, 18, 70]
-    assert chain["U"].counts()[0] == 0  # the factor of x kills order zero
+    assert chain["U"] == [0, 1, 2, 4, 8, 17, 38, 94]
+    assert chain["BC"] == [1, 2, 4, 8, 17, 38, 94, 258]
+    assert chain["B"] == [1, 0, 0, 0, 1, 4, 18, 70]
+    assert chain["U"][0] == 0  # the factor of x kills order zero
     short = derive_unlabeled_chain(2, [1, 1, 2])
-    assert short["BC"].counts() == [1, 2, 4]
+    assert short["BC"] == [1, 2, 4]
     with pytest.raises(InsufficientBase):
         derive_unlabeled_chain(3, [1, 1, 2])
+
+
+def random_unlabeled_base(seed, length):
+    """Positive counts, each at least the sum of those before it (so B >= 0)."""
+    rng = random.Random(seed)
+    base = []
+    for _ in range(length):
+        base.append(sum(base) + rng.randint(1, 10**12))
+    return base
+
+
+@pytest.mark.parametrize("base", [S_UNLABELED, random_unlabeled_base(11, 40)],
+                         ids=["oracle", "random"])
+def test_unlabeled_chain_matches_series_products(base):
+    """The running sums of the unlabeled chain equal its ogf products."""
+    order = len(base) - 1
+    chain = derive_unlabeled_chain(order, base)
+    s = from_fractions(base, OGF)
+    assert chain["S"] == s.counts()
+    assert chain["BC"] == (named(SeriesName.GEOMETRIC, OGF, order) * s).counts()
+    assert chain["U"] == (named(SeriesName.U_FACTOR_UNLABELED, OGF, order) * s).counts()
+    assert chain["B"] == (s - named(SeriesName.U_FACTOR_UNLABELED, OGF, order) * s).counts()
+
+
+def test_unlabeled_chain_rejects_negative_counts():
+    with pytest.raises(NonIntegralResult):
+        derive_unlabeled_chain(2, [1, -3, 1])
 
 
 def test_truncation_to_shorter_operand():
