@@ -19,19 +19,19 @@ from math import comb, factorial
 
 import mpmath
 
-from .counting import bicolored_labeled, split_labeled
-from .errors import OutOfRange, TooLarge
-from .series import derive_labeled_chain, derive_unlabeled_chain
+from .counting import MAX_FORMULA_N, bicolored_labeled, split_labeled
+from .errors import OutOfRange, check_size
+from .series import check_unlabeled_base, derive_labeled_chain, derive_unlabeled_chain
 
 DEFAULT_BITS = 256
+MIN_BITS = 64  # least working precision of the reported ratios
 
 
 def c_constant(parity: str, bits: int = DEFAULT_BITS):
     """The parity constant, summed until the tail is below 2^-bits."""
     if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    if bits < 64:
-        raise OutOfRange(f"use at least 64 bits, got {bits}")
+        raise OutOfRange(f"parity must be 'even' or 'odd', got {parity!r}")
+    check_size(bits, low=MIN_BITS, what="bits")
     with mpmath.workprec(bits + 16):
         two = mpmath.mpf(2)
         half = mpmath.mpf(1) / 2
@@ -49,8 +49,7 @@ def c_constant(parity: str, bits: int = DEFAULT_BITS):
 
 def asymptotic_bicolored(n: int, bits: int = DEFAULT_BITS):
     """c(n) * C(n, floor(n/2)) * 2^{n^2/4}, as an arbitrary-precision float."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_size(n, low=1)
     with mpmath.workprec(bits + 16):
         c = c_constant("even" if n % 2 == 0 else "odd", bits)
         return +(c * comb(n, n // 2) * mpmath.mpf(2) ** (mpmath.mpf(n * n) / 4))
@@ -70,15 +69,19 @@ def _u_over_s_within_bound(u_n: int, s_n: int, n: int) -> bool:
     return (1 << (n + 1)) * u_n * u_n <= n**4 * s_n * s_n
 
 
+_RATIO_COUNTERS = {"bicolored": bicolored_labeled, "split": split_labeled}
+
+
 def check_b_ratio(n_max: int, kind: str = "bicolored") -> list[int]:
     """All n <= n_max violating x_n/x_{n-1} >= 2^{(n+1)/2} (exact check).
 
     ``kind`` selects the sequence: "bicolored" (b_n) or "split" (s_n).
     The violations form an initial segment; past it the inequality holds.
     """
-    if n_max > 500:
-        raise TooLarge("ratio checks are capped at n_max <= 500")
-    counter = {"bicolored": bicolored_labeled, "split": split_labeled}[kind]
+    check_size(n_max, high=MAX_FORMULA_N, what="n_max")
+    counter = _RATIO_COUNTERS.get(kind)
+    if counter is None:
+        raise OutOfRange(f"kind must be one of {sorted(_RATIO_COUNTERS)}, got {kind!r}")
     prev = counter(0)
     violations = []
     for n in range(1, n_max + 1):
@@ -95,6 +98,7 @@ def check_b_ratio_unlabeled(base: list[int]) -> list[int]:
     ``base`` holds unlabeled split counts s~_0..s~_m; the bicolored values
     are their partial sums, read off the unlabeled chain.
     """
+    check_unlabeled_base(base)
     btilde = derive_unlabeled_chain(len(base) - 1, base)["BC"]
     violations = []
     for n in range(1, len(btilde)):
@@ -105,7 +109,7 @@ def check_b_ratio_unlabeled(base: list[int]) -> list[int]:
 
 def u_over_s_bound_violations(n_max: int) -> list[int]:
     """All n <= n_max violating u_n/s_n <= n^2 / 2^{(n+1)/2} (exact check)."""
-    chain = derive_labeled_chain(max(n_max, 8))
+    chain = derive_labeled_chain(max(check_size(n_max, what="n_max"), 8))
     u, s = chain["U"], chain["S"]
     violations = []
     for n in range(1, n_max + 1):
@@ -119,7 +123,7 @@ def u_over_s_monotone_from(n_max: int) -> int:
 
     Comparisons are exact cross-multiplications.
     """
-    chain = derive_labeled_chain(max(n_max, 8))
+    chain = derive_labeled_chain(max(check_size(n_max, what="n_max"), 8))
     u, s = chain["U"], chain["S"]
     threshold = 1
     for n in range(1, n_max):
@@ -202,13 +206,12 @@ def ratio_report(n_max: int, bits: int = DEFAULT_BITS,
 
     If ``unlabeled_base`` (unlabeled split counts s~_0..s~_m) is supplied,
     unlabeled analogue rows are appended, including the observational
-    b~_n * n!/b_n column.
+    b~_n * n!/b_n column.  The chain's cap ``MAX_CHAIN_ORDER`` caps n_max.
     """
-    if n_max > MAX_REPORT_N:
-        raise TooLarge(f"report capped at n <= {MAX_REPORT_N}")
-    if bits < 64:
-        raise OutOfRange(f"use at least 64 bits, got {bits}")
-    chain = derive_labeled_chain(max(n_max, 8))
+    check_size(bits, low=MIN_BITS, what="bits")
+    if unlabeled_base is not None:
+        check_unlabeled_base(unlabeled_base)
+    chain = derive_labeled_chain(max(check_size(n_max, what="n_max"), 8))
     u, s = chain["U"], chain["S"]
     report = RatioReport(bits=bits)
     with mpmath.workprec(bits + 16):
@@ -235,6 +238,3 @@ def ratio_report(n_max: int, bits: int = DEFAULT_BITS,
                     scaled_labeled=+(mpmath.mpf(b_t) * factorial(n) / bicolored_labeled(n)),
                 ))
     return report
-
-
-MAX_REPORT_N = 400

@@ -15,8 +15,10 @@ The pairs:
       colored split graph  <->  bicolored graph with no isolated green vertex
       (drop the edges inside the green clique / put them all back)
 
-Compositions take label sets drawn from the shared universe 0..15; colliding
-labels raise LabelClash rather than being silently renamed.
+Compositions take label sets drawn from the shared universe
+0..MAX_VERTICES - 1 (0..15); colliding labels raise LabelClash rather than
+being silently renamed.  Labels are distinct, so no composition can exceed
+MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .errors import (
     BrokenInvariant,
     IsolatedGreen,
     LabelClash,
+    LengthMismatch,
+    MalformedInput,
     OutOfRange,
-    TooLarge,
     TooSmall,
     WrongClass,
 )
@@ -50,12 +53,11 @@ class PointedSet:
     point: int
 
     def __post_init__(self):
-        if self.elements != bits_of(mask_of(self.elements)):
-            raise ValueError("elements must be sorted and distinct")
+        _check_labels(self.elements)
         if len(self.elements) < 2:
             raise TooSmall("a pointed set here has at least two elements")
         if self.point not in self.elements:
-            raise ValueError(f"point {self.point} not among elements {self.elements}")
+            raise OutOfRange(f"point {self.point} not among elements {self.elements}")
 
     def to_json(self) -> dict:
         return {"elements": list(self.elements), "point": self.point}
@@ -129,13 +131,14 @@ class EmbeddedColored:
         return cls(tuple(range(c.n)), c)
 
 
-def _check_labels(labels: tuple[int, ...], n: int):
-    if len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for {n} vertices")
-    if labels != bits_of(mask_of(labels)):
-        raise ValueError("labels must be strictly increasing")
+def _check_labels(labels: tuple[int, ...], n: int | None = None):
+    """Labels (n of them, if given) strictly increasing in 0..MAX_VERTICES - 1."""
+    if n is not None and len(labels) != n:
+        raise LengthMismatch(f"{len(labels)} labels for {n} vertices")
+    if any(a >= b for a, b in zip(labels, labels[1:])):
+        raise MalformedInput(f"labels must be distinct and increasing, got {labels}")
     if labels and not (0 <= labels[0] and labels[-1] < MAX_VERTICES):
-        raise OutOfRange(f"labels must lie in 0..{MAX_VERTICES - 1}")
+        raise OutOfRange(f"labels must lie in 0..{MAX_VERTICES - 1}, got {labels}")
 
 
 def _label_map(labels: tuple[int, ...], p: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
@@ -200,16 +203,11 @@ def uk_compose(a: Iterable[int], rest) -> EmbeddedGraph:
     rest = _as_embedded_colored(rest)
     if len(a_tuple) < 2:
         raise TooSmall("the attached swing set needs at least two vertices")
+    _check_labels(a_tuple)
     a_mask = mask_of(a_tuple)
-    if a_tuple != bits_of(a_mask):
-        raise ValueError("swing labels must be distinct")
-    if a_tuple and a_tuple[-1] >= MAX_VERTICES:
-        raise OutOfRange(f"labels must lie in 0..{MAX_VERTICES - 1}")
     if a_mask & mask_of(rest.labels):
         raise LabelClash(f"labels {bits_of(a_mask & mask_of(rest.labels))} appear on both sides")
     labels = tuple(sorted(a_tuple + rest.labels))
-    if len(labels) > MAX_VERTICES:
-        raise TooLarge("composed graph would exceed 16 vertices")
     rank = {lab: r for r, lab in enumerate(labels)}
     rows = [0] * len(labels)
 
@@ -253,16 +251,13 @@ def amb_compose(a: int, h) -> EmbeddedGraph:
     partition; the result is ambiguous with swing vertex a.
     """
     h = _as_embedded_graph(h)
-    if not (0 <= a < MAX_VERTICES):
-        raise OutOfRange(f"labels must lie in 0..{MAX_VERTICES - 1}")
+    _check_labels((a,))
     if a in h.labels:
         raise LabelClash(f"label {a} already used by the balanced part")
     rep = swing_report(h.core)
     if classify_report(rep) is not SplitClass.BALANCED:
         raise WrongClass("amb_compose requires a balanced graph")
     labels = tuple(sorted(h.labels + (a,)))
-    if len(labels) > MAX_VERTICES:
-        raise TooLarge("composed graph would exceed 16 vertices")
     rank = {lab: r for r, lab in enumerate(labels)}
     rows = [0] * len(labels)
     for i, j in h.core.edges():

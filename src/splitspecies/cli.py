@@ -17,7 +17,6 @@ import argparse
 import json
 import random
 import sys
-from itertools import accumulate
 
 from . import counting
 from .counting import decimal
@@ -33,7 +32,7 @@ from .bijections import (
     uk_decompose,
 )
 from .enumeration import ClassTag, class_census, count_unlabeled, enumerate_labeled
-from .errors import InternalError, OutOfRange, SplitSpeciesError
+from .errors import InternalError, SplitSpeciesError, check_size
 from .graphs import BicoloredGraph, Graph, graph_to_json, load_file, load_graph
 from .structure import ColoredSplitGraph, classify_report, swing_report
 
@@ -71,19 +70,17 @@ def _emit_json(data) -> None:
     print(json.dumps(data, sort_keys=True, separators=(",", ":")))
 
 
-def _size(n: int) -> int:
-    if n < 0:
-        raise OutOfRange(f"n must be non-negative, got {n}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
     tag = ClassTag(args.klass)
-    ns = range(_size(args.max_n) + 1) if args.n is None else [_size(args.n)]
+    # an empty range would print nothing, and all-graphs counts make no library call
+    if args.n is None:
+        ns = range(check_size(args.max_n, what="--max-n") + 1)
+    else:
+        ns = [check_size(args.n, what="--n")]
     if args.unlabeled:
         values = {n: count_unlabeled(n, tag) for n in ns}
     else:
@@ -264,7 +261,7 @@ def _random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[
 
 def _cmd_verify(args) -> int:
     if args.suite == "identities":
-        max_n = 6 if args.max_n is None else _size(args.max_n)
+        max_n = 6 if args.max_n is None else check_size(args.max_n, what="--max-n")
         checks = _identity_checks(max_n)
         bad = [c for c in checks if not c["ok"]]
         report = {"suite": "identities", "max_n": max_n,
@@ -278,8 +275,7 @@ def _cmd_verify(args) -> int:
         return 0 if not bad else 1
 
     if args.suite == "formulas":
-        max_n = 318 if args.max_n is None else _size(args.max_n)
-        report = counting.cross_check(max_n)
+        report = counting.cross_check(318 if args.max_n is None else args.max_n)
         if args.format == "json":
             _emit_json(report.to_json())
         else:
@@ -290,8 +286,8 @@ def _cmd_verify(args) -> int:
         return 0 if report.ok else 1
 
     # random
-    max_n = 8 if args.max_n is None else _size(args.max_n)
-    failures, skipped = _random_checks(max_n, args.seed, args.cases)
+    max_n = 8 if args.max_n is None else check_size(args.max_n, what="--max-n")
+    failures, skipped = _random_checks(max_n, args.seed, check_size(args.cases, what="--cases"))
     report = {"suite": "random", "seed": args.seed, "cases": args.cases,
               "failures": failures}
     if skipped:
@@ -305,22 +301,11 @@ def _cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
-def _parse_unlabeled_base(text: str) -> list[int]:
-    """Unlabeled split counts s~_0..s~_m: positive integers, none below the sum
-    of those before it (that difference counts the unlabeled balanced graphs)."""
-    values = json.loads(text)["values"]
-    if not isinstance(values, list) or not all(type(v) is int and v > 0 for v in values):
-        raise ValueError('"values" must be a JSON list of positive integers')
-    if any(v < total for v, total in zip(values, accumulate(values, initial=0))):
-        raise ValueError('"values" must each be at least the sum of those before it')
-    return values
-
-
 def _cmd_asym(args) -> int:
     base = None
-    if args.unlabeled_base:
-        base = load_file(args.unlabeled_base, _parse_unlabeled_base)
-    report = ratio_report(_size(args.max_n), bits=args.bits, unlabeled_base=base)
+    if args.unlabeled_base:  # ratio_report checks the values
+        base = load_file(args.unlabeled_base, lambda text: json.loads(text)["values"])
+    report = ratio_report(args.max_n, bits=args.bits, unlabeled_base=base)
     if args.format == "json":
         _emit_json(report.to_json())
     else:

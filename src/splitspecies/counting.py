@@ -26,21 +26,19 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .errors import NonIntegralResult, TooLarge
+from .errors import NonIntegralResult, check_size
 from .series import decimal, derive_labeled_chain, derive_unlabeled_chain
+
+MAX_FORMULA_N = 500  # largest n_max of the formula checks (cross_check, check_b_ratio)
 
 
 def bicolored_labeled(n: int) -> int:
     """Labeled bicolored graphs: choose the green set, then any cross edges."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return sum(comb(n, k) << (k * (n - k)) for k in range(n + 1))
+    return sum(comb(n, k) << (k * (n - k)) for k in range(check_size(n) + 1))
 
 
 def split_labeled(n: int) -> int:
-    """Labeled split graphs: b_n - n * b_{n-1}."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    """Labeled split graphs: b_n - n * b_{n-1} (bicolored_labeled checks n)."""
     if n == 0:
         return 1
     return bicolored_labeled(n) - n * bicolored_labeled(n - 1)
@@ -52,8 +50,7 @@ def split_labeled_bp(n: int) -> int:
     Raises NonIntegralResult if the total fails to come out an integer
     (which would mean an implementation error, not an input error).
     """
-    if n < 1:
-        raise ValueError("the double-sum formula needs n >= 1")
+    check_size(n, low=1)
     whole = 1
     frac = 0  # the fractional terms, all over the one denominator n + 1
     for k in range(2, n + 1):
@@ -75,18 +72,15 @@ def split_labeled_bp(n: int) -> int:
 def chain_count(key: str, n: int, *, upto: bool = False) -> int | list[int]:
     """Count at size n of one series in the labeled chain (keys as in derive_labeled_chain).
 
-    With ``upto``, the list of counts at every size 0..n, read off one chain.
+    With ``upto``, the list of counts at every size 0..n, read off one chain,
+    whose order check bounds n.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     counts = derive_labeled_chain(n)[key]
     return counts if upto else counts[n]
 
 
 def unbalanced_labeled(n: int) -> int:
     """Labeled unbalanced split graphs, from the series chain."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return chain_count("U", n)
 
 
@@ -125,8 +119,7 @@ def cross_check(max_n: int, include_oracle: bool = True) -> CrossCheckReport:
 
     Discrepancies are collected in the report, never raised.
     """
-    if max_n > 500:
-        raise TooLarge("cross_check is capped at max_n <= 500")
+    check_size(max_n, high=MAX_FORMULA_N, what="max_n")
     start = time.monotonic()
     discrepancies = []
 

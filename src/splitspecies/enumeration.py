@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BrokenInvariant, OutOfRange, TooLarge
+from .errors import BrokenInvariant, check_size
 from .graphs import BicoloredGraph, Graph, bits_of, edge_bit, edge_pairs
 from .structure import ColoredSplitGraph
 
@@ -60,17 +60,13 @@ _CLS_OF_TAG = {ClassTag.BALANCED: _BAL, ClassTag.AMBIGUOUS: _AMB,
                ClassTag.K_CANONICAL: _KCAN, ClassTag.S_CANONICAL: _SCAN}
 
 
+CENSUS_MAX_N = 7  # the full census: every class, labeled and unlabeled
+SPLIT_MAX_N = 8  # split graphs alone, and labeled graphs of any kind
+
+
 def _check_limit(n: int, tag: ClassTag, unlabeled: bool = False):
-    if n < 0:
-        raise OutOfRange(f"n must be non-negative, got {n}")
-    if unlabeled:
-        limit = 8 if tag is ClassTag.SPLIT else 7
-    elif tag in _GRAPH_TAGS:
-        limit = 8
-    else:
-        limit = 7
-    if n > limit:
-        raise TooLarge(f"{tag.value} supports n <= {limit} here, got {n}")
+    wide = tag is ClassTag.SPLIT if unlabeled else tag in _GRAPH_TAGS
+    check_size(n, high=SPLIT_MAX_N if wide else CENSUS_MAX_N, what=f"{tag.value} size")
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +303,7 @@ class Census:
 @lru_cache(maxsize=16)
 def class_census(n: int) -> Census:
     """One pass over size n computing, and cross-asserting, every class count."""
-    if n > 7:
-        raise TooLarge("the full census supports n <= 7")
+    check_size(n, high=CENSUS_MAX_N)
     data = _split_data(n)
     edge_bits, vert_bits = _perm_tables(n)
 
@@ -442,9 +437,9 @@ def count_labeled(n: int, tag: ClassTag) -> int:
 def count_unlabeled(n: int, tag: ClassTag) -> int:
     """Number of isomorphism classes (color-preserving for colored classes)."""
     _check_limit(n, tag, unlabeled=True)
-    if n == 8:  # split only, per _check_limit
-        words = _split_words(8)
-        edge_bits, _ = _perm_tables(8)
+    if n > CENSUS_MAX_N:  # split only, per _check_limit
+        words = _split_words(n)
+        edge_bits, _ = _perm_tables(n)
         return len(_orbit_reps(words, lambda w: _word_orbit(w, edge_bits)))
     return class_census(n).unlabeled[tag]
 

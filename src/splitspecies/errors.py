@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one size check.
 
 Every error raised on bad input derives from SplitSpeciesError, and every
 failed internal invariant from InternalError, so callers (notably the CLI)
 can tell bad input from a bug in the package.
+
+``check_size`` is the one range check for sizes, orders and precisions: it
+raises OutOfRange below the lower bound and TooLarge above the cap.  The caps
+themselves are named constants beside the code they bound
+(``graphs.MAX_VERTICES``, ``series.MAX_CHAIN_ORDER``,
+``counting.MAX_FORMULA_N``, ...).
 """
 
 
@@ -19,7 +25,7 @@ class TooSmall(SplitSpeciesError, ValueError):
 
 
 class OutOfRange(SplitSpeciesError, ValueError):
-    """A vertex label or a size lies outside the allowed range."""
+    """A size, a vertex label or a named choice lies outside the allowed range."""
 
 
 class SelfLoop(SplitSpeciesError, ValueError):
@@ -27,7 +33,7 @@ class SelfLoop(SplitSpeciesError, ValueError):
 
 
 class LengthMismatch(SplitSpeciesError, ValueError):
-    """A permutation's length does not match the graph's vertex count."""
+    """A permutation or label tuple's length does not match the vertex count."""
 
 
 class NotSplit(SplitSpeciesError, ValueError):
@@ -71,7 +77,7 @@ class InsufficientBase(SplitSpeciesError, ValueError):
 
 
 class MalformedInput(SplitSpeciesError, ValueError):
-    """An input file does not parse as the structure it should describe."""
+    """An input file or value does not have the form of the structure it describes."""
 
 
 class InternalError(Exception):
@@ -84,3 +90,12 @@ class NonIntegralResult(InternalError, ArithmeticError):
 
 class BrokenInvariant(InternalError, AssertionError):
     """A structural fact the package relies on did not hold."""
+
+
+def check_size(value: int, *, low: int = 0, high: int | None = None, what: str = "n") -> int:
+    """Return ``value`` if low <= value (<= high); else raise OutOfRange or TooLarge."""
+    if value < low:
+        raise OutOfRange(f"{what} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise TooLarge(f"{what} is capped at {high}, got {value}")
+    return value

@@ -26,13 +26,13 @@ from .errors import (
     OutOfRange,
     SelfLoop,
     SplitSpeciesError,
-    TooLarge,
+    check_size,
 )
 
 T = TypeVar("T")
 
-MAX_VERTICES = 16
-CANON_MAX_VERTICES = 8
+MAX_VERTICES = 16  # one bitmask row per vertex; labels lie in 0..MAX_VERTICES - 1
+CANON_MAX_VERTICES = 8  # canonical codes minimise over all n! relabelings
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,11 @@ def edge_bit(i: int, j: int) -> int:
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, validating labels.
 
-    Raises TooLarge for n > 16, OutOfRange for an endpoint >= n or < 0,
-    SelfLoop for an edge (v, v).  Duplicate edges are tolerated.
+    Raises OutOfRange for a negative vertex count or an endpoint outside
+    0..n-1, TooLarge for more than MAX_VERTICES vertices, SelfLoop for an
+    edge (v, v).  Duplicate edges are tolerated.
     """
-    if n < 0:
-        raise OutOfRange(f"vertex count must be non-negative, got {n}")
-    if n > MAX_VERTICES:
-        raise TooLarge(f"at most {MAX_VERTICES} vertices supported, got {n}")
-    rows = [0] * n
+    rows = [0] * check_size(n, high=MAX_VERTICES, what="vertex count")
     for i, j in edges:
         if i == j:
             raise SelfLoop(f"self-loop at vertex {i}")
@@ -117,7 +114,7 @@ def relabel(g: Graph, p: Sequence[int]) -> Graph:
     if len(p) != g.n:
         raise LengthMismatch(f"permutation length {len(p)} != vertex count {g.n}")
     if sorted(p) != list(range(g.n)):
-        raise ValueError(f"not a permutation of 0..{g.n - 1}: {list(p)}")
+        raise MalformedInput(f"not a permutation of 0..{g.n - 1}: {list(p)}")
     rows = [0] * g.n
     for v in range(g.n):
         r = g.rows[v]
@@ -170,8 +167,7 @@ def canonical_code(g: Graph) -> bytes:
     Two graphs get equal codes iff they are isomorphic.  Exhaustive over all
     n! permutations, hence restricted to n <= 8.
     """
-    if g.n > CANON_MAX_VERTICES:
-        raise TooLarge(f"canonical codes require n <= {CANON_MAX_VERTICES}")
+    check_size(g.n, high=CANON_MAX_VERTICES, what="vertex count")
     best = min(_word_images(g))
     return b"G" + bytes([g.n]) + best.to_bytes(4, "big")
 
@@ -184,8 +180,7 @@ def canonical_code_bicolored(b: "BicoloredGraph") -> bytes:
     single red vertex get distinct codes.
     """
     g = b.graph
-    if g.n > CANON_MAX_VERTICES:
-        raise TooLarge(f"canonical codes require n <= {CANON_MAX_VERTICES}")
+    check_size(g.n, high=CANON_MAX_VERTICES, what="vertex count")
     nbits = g.n * (g.n - 1) // 2
     green_mask = mask_of(b.green)
     best = None
@@ -305,7 +300,7 @@ def parse_graph_text(text: str) -> Graph:
     """Parse the fixture format: first line n, then one 'i j' pair per line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError("empty graph file")
+        raise MalformedInput("empty graph file")
     n = int(lines[0])
     edges = []
     for ln in lines[1:]:

@@ -38,7 +38,15 @@ from itertools import accumulate
 from math import factorial
 from typing import Sequence
 
-from .errors import ConventionMismatch, InsufficientBase, NonIntegralResult, NotAUnit, TooLarge
+from .errors import (
+    ConventionMismatch,
+    InsufficientBase,
+    MalformedInput,
+    NonIntegralResult,
+    NotAUnit,
+    OutOfRange,
+    check_size,
+)
 
 EGF = "egf"
 OGF = "ogf"
@@ -197,14 +205,14 @@ def named(name: SeriesName, convention: str, order: int) -> RationalSeries:
         return (two_minus_x * e - constant(2, convention, order)) / ((one - monomial(convention, order)) * e)
     if name is SeriesName.U_FACTOR_UNLABELED:
         return from_fractions([0] + [1] * order, convention)
-    raise ValueError(f"unknown series name {name}")
+    raise OutOfRange(f"unknown series name {name}")
 
 
 # ---------------------------------------------------------------------------
 # Derivation chains
 # ---------------------------------------------------------------------------
 
-MAX_CHAIN_ORDER = 400
+MAX_CHAIN_ORDER = 400  # largest order of the labeled chain, hence of every report built on it
 
 
 def _check_non_negative(counts: dict[str, list[int]]) -> None:
@@ -228,8 +236,7 @@ def derive_labeled_chain(order: int) -> dict[str, list[int]]:
     The same products of RationalSeries atoms are the independent check of
     these identities.  Every count is checked to be non-negative.
     """
-    if order > MAX_CHAIN_ORDER:
-        raise TooLarge(f"chain order capped at {MAX_CHAIN_ORDER}")
+    check_size(order, high=MAX_CHAIN_ORDER, what="chain order")
     from .counting import bicolored_labeled  # counting imports this module
 
     bc, s, a, u, cs, uk = [], [], [], [], [], []
@@ -248,6 +255,19 @@ def derive_labeled_chain(order: int) -> dict[str, list[int]]:
     counts = {"BC": bc, "S": s, "U": u, "B": b, "cS": cs, "UK": uk, "Uamb": uamb}
     _check_non_negative(counts)
     return counts
+
+
+def check_unlabeled_base(base: Sequence[int]) -> None:
+    """Raise MalformedInput unless ``base`` can be unlabeled split counts s~_0..s~_m.
+
+    The terms must be positive integers, each at least the sum of those
+    before it: s~_n - (s~_0 + ... + s~_{n-1}) counts the unlabeled balanced
+    graphs.  Past this check a negative chain count is a bug, not bad data.
+    """
+    if not isinstance(base, (list, tuple)) or not all(type(v) is int and v > 0 for v in base):
+        raise MalformedInput("an unlabeled base must be a list of positive integers")
+    if any(v < total for v, total in zip(base, accumulate(base, initial=0))):
+        raise MalformedInput("each unlabeled base term must be at least the sum of those before it")
 
 
 def derive_unlabeled_chain(order: int, base: Sequence[int]) -> dict[str, list[int]]:

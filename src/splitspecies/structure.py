@@ -27,8 +27,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import BrokenInvariant, NotAPartition, NotSMax, NotSplit, TooLarge
-from .graphs import Graph, bits_of, mask_of
+from .errors import BrokenInvariant, NotAPartition, NotSMax, NotSplit, check_size
+from .graphs import MAX_VERTICES, Graph, bits_of, mask_of
 
 KIND_EMPTY = "empty"
 KIND_SINGLETON = "singleton"
@@ -117,8 +117,7 @@ def ks_partitions(g: Graph) -> list[KSPartition]:
     remaining moves need a v with no neighbour in S0, and K0 - v + u needs
     a u adjacent to all of K0 - v.
     """
-    if g.n > 16:
-        raise TooLarge("partition enumeration requires n <= 16")
+    check_size(g.n, high=MAX_VERTICES, what="vertex count")
     rows = g.rows
     order = sorted(range(g.n), key=lambda v: rows[v].bit_count(), reverse=True)
     m = 0
@@ -142,8 +141,7 @@ def ks_partitions(g: Graph) -> list[KSPartition]:
 
 def clique_number(g: Graph) -> int:
     """omega(g), by exhaustive search over vertex subsets."""
-    if g.n > 16:
-        raise TooLarge("clique number requires n <= 16")
+    check_size(g.n, high=MAX_VERTICES, what="vertex count")
     best = 0
     for mask in range(1 << g.n):
         c = mask.bit_count()

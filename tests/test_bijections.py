@@ -27,7 +27,7 @@ from splitspecies.bijections import (
     uk_decompose,
 )
 from splitspecies.enumeration import ClassTag, enumerate_labeled
-from splitspecies.errors import IsolatedGreen, LabelClash, TooSmall, WrongClass
+from splitspecies.errors import IsolatedGreen, LabelClash, OutOfRange, TooSmall, WrongClass
 from splitspecies.graphs import Graph, make_bicolored, make_graph, relabel
 from splitspecies.structure import ColoredSplitGraph, SplitClass, all_colorings, classify
 
@@ -79,6 +79,17 @@ def test_uk_compose_examples():
         uk_compose((0,), rest_empty)
     with pytest.raises(LabelClash):
         uk_compose((2, 3), one_red)
+
+
+def test_uk_compose_rejects_a_negative_swing_label():
+    rest_empty = EmbeddedColored((), ColoredSplitGraph(empty_graph(0), (), ()))
+    with pytest.raises(OutOfRange):
+        uk_compose((-1, 5), rest_empty)
+
+
+def test_pointed_set_rejects_a_label_past_the_vertex_cap():
+    with pytest.raises(OutOfRange):
+        PointedSet((2, 20), 2)
 
 
 def test_single_green_vertex_is_not_a_valid_colored_graph():

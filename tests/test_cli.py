@@ -244,6 +244,7 @@ BAD_INVOCATIONS = {
     "count-negative-max-n": (["count", "--class", "split", "--labeled", "--max-n", "-1"], None, 3),
     "enumerate-negative-n": (["enumerate", "--class", "split", "--n", "-1"], None, 3),
     "verify-negative-max-n": (["verify", "--suite", "identities", "--max-n", "-1"], None, 3),
+    "verify-negative-cases": (["verify", "--suite", "random", "--cases", "-5"], None, 3),
     "asym-negative-max-n": (["asym", "--max-n", "-1"], None, 3),
     "asym-too-few-bits": (["asym", "--max-n", "5", "--bits", "63"], None, 3),
     "asym-base-zero": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],

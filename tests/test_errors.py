@@ -1,0 +1,115 @@
+"""The library boundary: every bad size or base raises a SplitSpeciesError.
+
+One table of (call, expected class).  Each named cap gets a row at cap + 1,
+and each entry point a row just below its lower bound; bad unlabeled bases
+are caller data, never an InternalError.
+"""
+
+import pytest
+
+from splitspecies import asymptotics, counting, enumeration, graphs, series, structure
+from splitspecies.asymptotics import MIN_BITS
+from splitspecies.counting import MAX_FORMULA_N
+from splitspecies.enumeration import CENSUS_MAX_N, SPLIT_MAX_N, ClassTag
+from splitspecies.errors import (
+    InternalError,
+    MalformedInput,
+    OutOfRange,
+    SplitSpeciesError,
+    TooLarge,
+    check_size,
+)
+from splitspecies.graphs import CANON_MAX_VERTICES, MAX_VERTICES, BicoloredGraph, Graph
+from splitspecies.series import MAX_CHAIN_ORDER
+
+
+def _graph(n):
+    return Graph(n, (0,) * n)
+
+
+BOUNDARY = {
+    # sizes below the lower bound
+    "bicolored-negative": (lambda: counting.bicolored_labeled(-1), OutOfRange),
+    "split-negative": (lambda: counting.split_labeled(-1), OutOfRange),
+    "split-bp-zero": (lambda: counting.split_labeled_bp(0), OutOfRange),
+    "chain-count-negative": (lambda: counting.chain_count("U", -1), OutOfRange),
+    "unbalanced-negative": (lambda: counting.unbalanced_labeled(-1), OutOfRange),
+    "cross-check-negative": (lambda: counting.cross_check(-1, include_oracle=False), OutOfRange),
+    "labeled-chain-negative": (lambda: series.derive_labeled_chain(-1), OutOfRange),
+    "asymptotic-zero": (lambda: asymptotics.asymptotic_bicolored(0), OutOfRange),
+    "b-ratio-negative": (lambda: asymptotics.check_b_ratio(-1), OutOfRange),
+    "u-over-s-violations-negative": (lambda: asymptotics.u_over_s_bound_violations(-3), OutOfRange),
+    "u-over-s-monotone-negative": (lambda: asymptotics.u_over_s_monotone_from(-3), OutOfRange),
+    "ratio-report-negative": (lambda: asymptotics.ratio_report(-1), OutOfRange),
+    "census-negative": (lambda: enumeration.class_census(-1), OutOfRange),
+    "make-graph-negative": (lambda: graphs.make_graph(-1, []), OutOfRange),
+    # precision below MIN_BITS
+    "c-constant-bits": (lambda: asymptotics.c_constant("even", MIN_BITS - 1), OutOfRange),
+    "ratio-report-bits": (lambda: asymptotics.ratio_report(3, bits=MIN_BITS - 1), OutOfRange),
+    # named choices
+    "b-ratio-kind": (lambda: asymptotics.check_b_ratio(3, kind="x"), OutOfRange),
+    "c-constant-parity": (lambda: asymptotics.c_constant("both"), OutOfRange),
+    "series-name": (lambda: series.named("E", series.EGF, 3), OutOfRange),
+    # each named cap at cap + 1
+    "cross-check-cap": (lambda: counting.cross_check(MAX_FORMULA_N + 1), TooLarge),
+    "b-ratio-cap": (lambda: asymptotics.check_b_ratio(MAX_FORMULA_N + 1), TooLarge),
+    "labeled-chain-cap": (lambda: series.derive_labeled_chain(MAX_CHAIN_ORDER + 1), TooLarge),
+    "chain-count-cap": (lambda: counting.chain_count("S", MAX_CHAIN_ORDER + 1), TooLarge),
+    "ratio-report-cap": (lambda: asymptotics.ratio_report(MAX_CHAIN_ORDER + 1), TooLarge),
+    "u-over-s-cap": (lambda: asymptotics.u_over_s_bound_violations(MAX_CHAIN_ORDER + 1), TooLarge),
+    "census-cap": (lambda: enumeration.class_census(CENSUS_MAX_N + 1), TooLarge),
+    "count-labeled-census-cap": (
+        lambda: enumeration.count_labeled(CENSUS_MAX_N + 1, ClassTag.BALANCED), TooLarge),
+    "count-labeled-split-cap": (
+        lambda: enumeration.count_labeled(SPLIT_MAX_N + 1, ClassTag.SPLIT), TooLarge),
+    "count-unlabeled-split-cap": (
+        lambda: enumeration.count_unlabeled(SPLIT_MAX_N + 1, ClassTag.SPLIT), TooLarge),
+    "make-graph-cap": (lambda: graphs.make_graph(MAX_VERTICES + 1, []), TooLarge),
+    "ks-partitions-cap": (lambda: structure.ks_partitions(_graph(MAX_VERTICES + 1)), TooLarge),
+    "clique-number-cap": (lambda: structure.clique_number(_graph(MAX_VERTICES + 1)), TooLarge),
+    "canonical-code-cap": (lambda: graphs.canonical_code(_graph(CANON_MAX_VERTICES + 1)), TooLarge),
+    "canonical-code-bicolored-cap": (
+        lambda: graphs.canonical_code_bicolored(BicoloredGraph(
+            _graph(CANON_MAX_VERTICES + 1), (), tuple(range(CANON_MAX_VERTICES + 1)))),
+        TooLarge),
+    # unlabeled bases: caller data, checked where they enter the library
+    "base-below-partial-sum": (lambda: asymptotics.check_b_ratio_unlabeled([1, 5, 2]), MalformedInput),
+    "base-zero": (lambda: asymptotics.check_b_ratio_unlabeled([1, 0, 2]), MalformedInput),
+    "base-float": (lambda: asymptotics.check_b_ratio_unlabeled([1, 1.5]), MalformedInput),
+    "base-bool": (lambda: asymptotics.check_b_ratio_unlabeled([1, True]), MalformedInput),
+    "base-string": (lambda: asymptotics.check_b_ratio_unlabeled("12"), MalformedInput),
+    "report-base-below-partial-sum": (
+        lambda: asymptotics.ratio_report(2, unlabeled_base=[1, 5, 2]), MalformedInput),
+    # other caller data
+    "relabel-not-a-permutation": (
+        lambda: graphs.relabel(graphs.make_graph(2, [(0, 1)]), (0, 0)), MalformedInput),
+    "empty-graph-text": (lambda: graphs.parse_graph_text(""), MalformedInput),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY))
+def test_library_boundary_raises_package_errors(case):
+    call, expected = BOUNDARY[case]
+    assert issubclass(expected, SplitSpeciesError) and not issubclass(expected, InternalError)
+    with pytest.raises(expected):
+        call()
+
+
+def test_check_size():
+    assert check_size(0) == 0
+    assert check_size(5, low=5, high=5) == 5
+    with pytest.raises(OutOfRange, match="n must be at least 0, got -1"):
+        check_size(-1)
+    with pytest.raises(OutOfRange, match="bits must be at least 64"):
+        check_size(63, low=64, what="bits")
+    with pytest.raises(TooLarge, match="order is capped at 3, got 4"):
+        check_size(4, high=3, what="order")
+
+
+def test_sizes_at_the_bounds_still_work():
+    assert counting.split_labeled_bp(1) == 1
+    assert counting.cross_check(0, include_oracle=False).ok
+    assert asymptotics.check_b_ratio(0) == []
+    assert asymptotics.ratio_report(0, bits=MIN_BITS).rows == []
+    assert len(series.derive_labeled_chain(0)["S"]) == 1
+    assert graphs.make_graph(MAX_VERTICES, []).n == MAX_VERTICES

@@ -16,3 +16,15 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_bare_value_error_in_package():
+    """Bad caller data raises a SplitSpeciesError subclass, never a bare ValueError."""
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
