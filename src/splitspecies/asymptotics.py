@@ -9,15 +9,14 @@ that depends only on the parity of n:
 Every pass/fail decision here is made in exact integer arithmetic on squared
 forms (for example b_n/b_{n-1} >= 2^{(n+1)/2} becomes
 b_n^2 >= 2^{n+1} b_{n-1}^2); arbitrary-precision floats (mpmath, default 256
-bits) are used only to report the ratios themselves.
+bits) are used only to report the ratios themselves.  mpmath is imported by
+the functions that use it, on first use, so the exact checks do not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, factorial
-
-import mpmath
 
 from .counting import MAX_FORMULA_N, bicolored_labeled, split_labeled
 from .errors import OutOfRange, check_size
@@ -29,6 +28,8 @@ MIN_BITS = 64  # least working precision of the reported ratios
 
 def c_constant(parity: str, bits: int = DEFAULT_BITS):
     """The parity constant, summed until the tail is below 2^-bits."""
+    import mpmath
+
     if parity not in ("even", "odd"):
         raise OutOfRange(f"parity must be 'even' or 'odd', got {parity!r}")
     check_size(bits, low=MIN_BITS, what="bits")
@@ -49,6 +50,8 @@ def c_constant(parity: str, bits: int = DEFAULT_BITS):
 
 def asymptotic_bicolored(n: int, bits: int = DEFAULT_BITS):
     """c(n) * C(n, floor(n/2)) * 2^{n^2/4}, as an arbitrary-precision float."""
+    import mpmath
+
     check_size(n, low=1)
     with mpmath.workprec(bits + 16):
         c = c_constant("even" if n % 2 == 0 else "odd", bits)
@@ -165,6 +168,8 @@ class RatioReport:
     unlabeled_rows: list[UnlabeledRatioRow] = field(default_factory=list)
 
     def to_json(self) -> dict:
+        import mpmath
+
         def fmt(x):
             return mpmath.nstr(x, 17)
 
@@ -185,6 +190,8 @@ class RatioReport:
         }
 
     def to_csv(self) -> str:
+        import mpmath
+
         def fmt(x):
             return mpmath.nstr(x, 17)
 
@@ -208,6 +215,8 @@ def ratio_report(n_max: int, bits: int = DEFAULT_BITS,
     unlabeled analogue rows are appended, including the observational
     b~_n * n!/b_n column.  The chain's cap ``MAX_CHAIN_ORDER`` caps n_max.
     """
+    import mpmath
+
     check_size(bits, low=MIN_BITS, what="bits")
     if unlabeled_base is not None:
         check_unlabeled_base(unlabeled_base)

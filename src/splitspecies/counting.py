@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .errors import NonIntegralResult, check_size
+from .errors import NonIntegralResult, OutOfRange, check_size
 from .series import decimal, derive_labeled_chain, derive_unlabeled_chain
 
 MAX_FORMULA_N = 500  # largest n_max of the formula checks (cross_check, check_b_ratio)
@@ -73,10 +73,12 @@ def chain_count(key: str, n: int, *, upto: bool = False) -> int | list[int]:
     """Count at size n of one series in the labeled chain (keys as in derive_labeled_chain).
 
     With ``upto``, the list of counts at every size 0..n, read off one chain,
-    whose order check bounds n.
+    whose order check bounds n.  An unknown key raises OutOfRange.
     """
-    counts = derive_labeled_chain(n)[key]
-    return counts if upto else counts[n]
+    chain = derive_labeled_chain(n)
+    if key not in chain:
+        raise OutOfRange(f"key must be one of {sorted(chain)}, got {key!r}")
+    return chain[key] if upto else chain[key][n]
 
 
 def unbalanced_labeled(n: int) -> int:

@@ -19,6 +19,9 @@ Orbit counting works by scanning the sorted array of structure keys and, at
 each not-yet-seen key, generating the whole orbit with precomputed
 permutation tables and flagging its members.  Each orbit is counted once, at
 its minimal key, which doubles as the canonical code.
+
+numpy is imported by the functions that use it, on first use, so a process
+that never runs the census does not load it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
-
-import numpy as np
 
 from .errors import BrokenInvariant, check_size
 from .graphs import BicoloredGraph, Graph, bits_of, edge_bit, edge_pairs
@@ -75,6 +76,8 @@ def _check_limit(n: int, tag: ClassTag, unlabeled: bool = False):
 
 def _popcounts(n: int) -> np.ndarray:
     """Bit count of every n-bit mask, as a lookup table (numpy < 2 lacks one)."""
+    import numpy as np
+
     pop = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         pop = np.concatenate((pop, pop + 1))
@@ -87,6 +90,8 @@ def _cross_words(n: int, mask: int) -> np.ndarray:
     Entry i holds the edges whose slots are set in i, the slots ordered by
     (vertex in mask, vertex outside it).
     """
+    import numpy as np
+
     words = np.zeros(1, dtype=np.int64)
     outside = bits_of(((1 << n) - 1) ^ mask)
     for g in bits_of(mask):
@@ -109,6 +114,8 @@ def _partition_runs(n: int) -> tuple[np.ndarray, np.ndarray]:
     graph's run of keys starts; a run's length is the graph's number of
     partitions.
     """
+    import numpy as np
+
     keys = np.concatenate([((_cross_words(n, k) | _clique_word(k)) << n) | k
                            for k in range(1 << n)])
     keys.sort()
@@ -144,6 +151,8 @@ def _split_data(n: int) -> _SplitData:
     longer run is k-canonical iff the union of its clique sides is itself the
     largest one.  The swings are the union minus the intersection.
     """
+    import numpy as np
+
     words = _split_words(n)
     keys, starts = _partition_runs(n)
     sides = keys & ((1 << n) - 1)
@@ -174,6 +183,8 @@ def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     Entry values are already shifted (1 << target), so an orbit is assembled
     by OR-ing columns.
     """
+    import numpy as np
+
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     ends = np.array(edge_pairs(n), dtype=np.int64).reshape(-1, 2)
     a, b = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
@@ -182,6 +193,8 @@ def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _word_orbit(word: int, edge_bits: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     orbit = np.zeros(edge_bits.shape[0], dtype=np.int64)
     for e in bits_of(word):
         orbit |= edge_bits[:, e]
@@ -189,6 +202,8 @@ def _word_orbit(word: int, edge_bits: np.ndarray) -> np.ndarray:
 
 
 def _mask_orbit(mask: int, vert_bits: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     orbit = np.zeros(vert_bits.shape[0], dtype=np.int64)
     for v in bits_of(mask):
         orbit |= vert_bits[:, v]
@@ -203,6 +218,8 @@ def _orbit_reps(keys: np.ndarray, orbit_of) -> list[int]:
     a key left unflagged at the start of its chunk is checked again, since an
     orbit found earlier in the chunk may have covered it.
     """
+    import numpy as np
+
     flags = np.zeros(len(keys), dtype=bool)
     reps = []
     for lo in range(0, len(keys), _ORBIT_CHUNK):
@@ -219,6 +236,8 @@ def _orbit_reps(keys: np.ndarray, orbit_of) -> list[int]:
 
 def _greens_covered(n: int, green: int, words: np.ndarray) -> np.ndarray:
     """Which cross-edge words give every green vertex a red neighbor."""
+    import numpy as np
+
     reds = bits_of(((1 << n) - 1) ^ green)
     ok = np.ones(len(words), dtype=bool)
     for g in bits_of(green):
@@ -228,6 +247,8 @@ def _greens_covered(n: int, green: int, words: np.ndarray) -> np.ndarray:
 
 def _bicolored_keys(n: int, no_isolated_green: bool) -> np.ndarray:
     """Sorted keys (edge word << n | green mask) of all bicolored structures."""
+    import numpy as np
+
     out = []
     for green in range(1 << n):
         words = _cross_words(n, green)
@@ -247,6 +268,8 @@ def _colored_split_keys(n: int) -> np.ndarray:
     graphs, and the intersection of all clique sides, K-max minus swings, for
     every other graph.
     """
+    import numpy as np
+
     data = _split_data(n)
     shifted = data.words << n
     kcan = data.classes == _KCAN
@@ -303,6 +326,8 @@ class Census:
 @lru_cache(maxsize=16)
 def class_census(n: int) -> Census:
     """One pass over size n computing, and cross-asserting, every class count."""
+    import numpy as np
+
     check_size(n, high=CENSUS_MAX_N)
     data = _split_data(n)
     edge_bits, vert_bits = _perm_tables(n)

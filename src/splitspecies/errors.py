@@ -5,10 +5,10 @@ failed internal invariant from InternalError, so callers (notably the CLI)
 can tell bad input from a bug in the package.
 
 ``check_size`` is the one range check for sizes, orders and precisions: it
-raises OutOfRange below the lower bound and TooLarge above the cap.  The caps
-themselves are named constants beside the code they bound
-(``graphs.MAX_VERTICES``, ``series.MAX_CHAIN_ORDER``,
-``counting.MAX_FORMULA_N``, ...).
+raises MalformedInput for a bool or a non-integer, OutOfRange below the lower
+bound and TooLarge above the cap.  The caps themselves are named constants
+beside the code they bound (``graphs.MAX_VERTICES``,
+``series.MAX_CHAIN_ORDER``, ``counting.MAX_FORMULA_N``, ...).
 """
 
 
@@ -93,7 +93,12 @@ class BrokenInvariant(InternalError, AssertionError):
 
 
 def check_size(value: int, *, low: int = 0, high: int | None = None, what: str = "n") -> int:
-    """Return ``value`` if low <= value (<= high); else raise OutOfRange or TooLarge."""
+    """Return ``value`` if low <= value (<= high); else raise OutOfRange or TooLarge.
+
+    A ``bool`` or a non-integer raises MalformedInput before any comparison.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInput(f"{what} must be an integer, got {value!r}")
     if value < low:
         raise OutOfRange(f"{what} must be at least {low}, got {value}")
     if high is not None and value > high:

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import splitspecies
 from splitspecies.cli import main
 
 from conftest import TESTDATA
@@ -21,6 +24,39 @@ def write_graph(tmp_path, name, text):
     with open(path, "w") as f:
         f.write(text)
     return path
+
+
+# Runs CLI commands in one fresh interpreter; after each, prints its exit code
+# and which of the watched modules are loaded.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+import splitspecies
+import splitspecies.cli as cli
+watched = ("mpmath", "numpy", "splitspecies.asymptotics", "splitspecies.enumeration")
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([code, [m for m in watched if m in sys.modules]])
+print(json.dumps(seen))
+"""
+
+
+def test_light_commands_do_not_load_numpy_or_mpmath():
+    """Labeled counts load neither numpy nor mpmath, and asym loads only mpmath.
+
+    The package's own modules stay loaded: the span tracer patches them.
+    """
+    src = os.path.dirname(os.path.dirname(splitspecies.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = [["count", "--class", "split", "--labeled", "--n", "20"],
+                ["count", "--class", "balanced", "--labeled", "--n", "64"],
+                ["asym", "--max-n", "5"]]
+    done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(commands)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    package = ["splitspecies.asymptotics", "splitspecies.enumeration"]
+    assert json.loads(done.stdout) == [[0, package], [0, package], [0, ["mpmath"] + package]]
 
 
 def test_count_bicolored_labeled(capsys):

@@ -50,6 +50,7 @@ BOUNDARY = {
     "b-ratio-kind": (lambda: asymptotics.check_b_ratio(3, kind="x"), OutOfRange),
     "c-constant-parity": (lambda: asymptotics.c_constant("both"), OutOfRange),
     "series-name": (lambda: series.named("E", series.EGF, 3), OutOfRange),
+    "chain-count-key": (lambda: counting.chain_count("X", 3), OutOfRange),
     # each named cap at cap + 1
     "cross-check-cap": (lambda: counting.cross_check(MAX_FORMULA_N + 1), TooLarge),
     "b-ratio-cap": (lambda: asymptotics.check_b_ratio(MAX_FORMULA_N + 1), TooLarge),
@@ -84,6 +85,10 @@ BOUNDARY = {
     "relabel-not-a-permutation": (
         lambda: graphs.relabel(graphs.make_graph(2, [(0, 1)]), (0, 0)), MalformedInput),
     "empty-graph-text": (lambda: graphs.parse_graph_text(""), MalformedInput),
+    # sizes that are not integers, refused before any comparison
+    "bicolored-bool": (lambda: counting.bicolored_labeled(True), MalformedInput),
+    "ratio-report-float-bits": (lambda: asymptotics.ratio_report(3, bits=100.5), MalformedInput),
+    "graph-json-string-n": (lambda: graphs.graph_from_json({"n": "3", "edges": []}), MalformedInput),
 }
 
 
@@ -104,6 +109,10 @@ def test_check_size():
         check_size(63, low=64, what="bits")
     with pytest.raises(TooLarge, match="order is capped at 3, got 4"):
         check_size(4, high=3, what="order")
+    with pytest.raises(MalformedInput, match="n must be an integer, got True"):
+        check_size(True)
+    with pytest.raises(MalformedInput, match="bits must be an integer, got 64.0"):
+        check_size(64.0, low=64, what="bits")
 
 
 def test_sizes_at_the_bounds_still_work():
