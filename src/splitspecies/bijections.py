@@ -329,7 +329,6 @@ def split_to_bicolored(c: ColoredSplitGraph) -> BicoloredGraph:
     Because the coloring is S-max, no green vertex loses all its neighbors,
     so the image has no isolated green vertex.
     """
-    gm = c.green_mask()
     rm = c.red_mask()
     rows = list(c.graph.rows)
     for v in c.green:

@@ -6,9 +6,8 @@ error, 3 invalid input (too large, not a split graph, wrong class, malformed
 file, negative size, ...), 4 a failed internal invariant (a bug).
 
 Counts are printed as decimal strings, since they overflow 64-bit integers
-almost immediately.  Identical invocations produce byte-identical output; the
-``verify --suite identities`` report in particular contains no timing and is
-stable across runs.
+almost immediately.  Identical invocations produce byte-identical output on
+stdout; the one timing, that of ``verify --suite formulas``, goes to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .bijections import (
 )
 from .enumeration import ClassTag, class_census, count_unlabeled, enumerate_labeled
 from .errors import InternalError, SplitSpeciesError, check_size
-from .graphs import BicoloredGraph, Graph, graph_to_json, load_file, load_graph
+from .graphs import BicoloredGraph, Graph, TwoColoredGraph, load_file, load_graph
 from .structure import ColoredSplitGraph, classify_report, swing_report
 
 _CHAIN_KEYS = {
@@ -56,14 +55,6 @@ def _labeled_counts(tag: ClassTag, ns) -> dict[int, int]:
     if tag is ClassTag.BICOLORED:
         return {n: counting.bicolored_labeled(n) for n in ns}
     return {n: 1 << (n * (n - 1) // 2) for n in ns}  # all graphs
-
-
-def _structure_json(obj) -> dict:
-    if isinstance(obj, Graph):
-        return graph_to_json(obj)
-    if isinstance(obj, (ColoredSplitGraph, BicoloredGraph)):
-        return obj.to_json()
-    raise TypeError(type(obj))
 
 
 def _emit_json(data) -> None:
@@ -102,7 +93,7 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     tag = ClassTag(args.klass)
     for structure in enumerate_labeled(args.n, tag):
-        print(json.dumps(_structure_json(structure), sort_keys=True, separators=(",", ":")))
+        _emit_json(structure.to_json())
     return 0
 
 
@@ -113,12 +104,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _load_colored(path: str) -> ColoredSplitGraph:
-    return load_file(path, lambda text: ColoredSplitGraph.from_json(json.loads(text)))
-
-
-def _load_bicolored(path: str) -> BicoloredGraph:
-    return load_file(path, lambda text: BicoloredGraph.from_json(json.loads(text)))
+def _load_colored(path: str, carrier: type[TwoColoredGraph]) -> TwoColoredGraph:
+    return load_file(path, lambda text: carrier.from_json(json.loads(text)))
 
 
 def _cmd_biject(args) -> int:
@@ -136,14 +123,14 @@ def _cmd_biject(args) -> int:
     elif not args.input:
         args.usage_error(f"--input is required for --map {name}")
     elif name == "cuk-decompose":
-        c = _load_colored(args.input)
+        c = _load_colored(args.input, ColoredSplitGraph)
         ps, rest = cuk_decompose(c)
         _emit_json({"map": name, "pointed_set": ps.to_json(), "rest": rest.to_json()})
     elif name == "split-to-bicolored":
-        c = _load_colored(args.input)
+        c = _load_colored(args.input, ColoredSplitGraph)
         _emit_json({"map": name, "result": split_to_bicolored(c).to_json()})
     elif name == "bicolored-to-split":
-        b = _load_bicolored(args.input)
+        b = _load_colored(args.input, BicoloredGraph)
         _emit_json({"map": name, "result": bicolored_to_split(b).to_json()})
     else:  # pragma: no cover - argparse choices prevent this
         raise SystemExit(f"unknown map {name}")
@@ -213,10 +200,10 @@ def _random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[
         g = make_graph(n, edges)
         if is_split(g) != subset_oracle(g):
             failures.append({"check": "split-test-vs-subset-oracle", "case": case,
-                             "graph": graph_to_json(g)})
+                             "graph": g.to_json()})
         if is_split(g) != is_split(complement(g)):
             failures.append({"check": "split-complement-closure", "case": case,
-                             "graph": graph_to_json(g)})
+                             "graph": g.to_json()})
 
     n = min(max_n, 7)
     data = _split_data(n)
@@ -276,11 +263,12 @@ def _cmd_verify(args) -> int:
 
     if args.suite == "formulas":
         report = counting.cross_check(318 if args.max_n is None else args.max_n)
+        print(f"formulas: {report.elapsed_ms} ms", file=sys.stderr)  # keeps stdout stable
         if args.format == "json":
             _emit_json(report.to_json())
         else:
             print(f"formulas: checked to n={report.checked_to}, "
-                  f"{len(report.discrepancies)} discrepancies, {report.elapsed_ms} ms")
+                  f"{len(report.discrepancies)} discrepancies")
             for d in report.discrepancies:
                 print(f"FAIL {d['check']} n={d['n']}: expected {d['expected']}, got {d['got']}")
         return 0 if report.ok else 1
@@ -340,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every labeled structure of a class")
     p.add_argument("--class", dest="klass", choices=tags, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["jsonl"], default="jsonl")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("classify", help="classify a split graph and report its swing structure")

@@ -98,26 +98,22 @@ def balanced_labeled(n: int) -> int:
 class CrossCheckReport:
     checked_to: int
     discrepancies: list
-    elapsed_ms: int
+    elapsed_ms: int  # wall time of the check; not part of the JSON form
 
     @property
     def ok(self) -> bool:
         return not self.discrepancies
 
     def to_json(self) -> dict:
-        return {
-            "checked_to": self.checked_to,
-            "discrepancies": self.discrepancies,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return {"checked_to": self.checked_to, "discrepancies": self.discrepancies}
 
 
-def cross_check(max_n: int, include_oracle: bool = True) -> CrossCheckReport:
+def cross_check(max_n: int) -> CrossCheckReport:
     """Verify the two split-graph formulas agree up to max_n, plus oracle checks.
 
-    Formula-vs-formula runs for 1 <= n <= max_n.  With ``include_oracle``,
-    formula and series counts are also compared against exhaustive
-    enumeration: labeled classes at n <= 6, unlabeled identities at n <= 7.
+    Formula-vs-formula runs for 1 <= n <= max_n.  Formula and series counts
+    are also compared against exhaustive enumeration: labeled classes at
+    n <= min(max_n, 6), unlabeled identities at n <= min(max_n, 7).
 
     Discrepancies are collected in the report, never raised.
     """
@@ -138,42 +134,41 @@ def cross_check(max_n: int, include_oracle: bool = True) -> CrossCheckReport:
         if direct != bp:
             mismatch("split-formula-agreement", n, direct, bp)
 
-    if include_oracle:
-        from .enumeration import ClassTag, class_census
+    from .enumeration import ClassTag, class_census
 
-        chain = derive_labeled_chain(8)
-        for n in range(0, min(max_n, 6) + 1):
-            census = class_census(n)
-            checks = [
-                ("oracle-bicolored", bicolored_labeled(n), census.labeled[ClassTag.BICOLORED]),
-                ("oracle-split", split_labeled(n), census.labeled[ClassTag.SPLIT]),
-                ("oracle-unbalanced", chain["U"][n], census.labeled[ClassTag.UNBALANCED]),
-                ("oracle-balanced", chain["B"][n], census.labeled[ClassTag.BALANCED]),
-                ("oracle-split-series", chain["S"][n], census.labeled[ClassTag.SPLIT]),
-                ("oracle-colored-split", chain["cS"][n], census.labeled[ClassTag.COLORED_SPLIT]),
-                ("oracle-colored-equals-bicolored-star", census.labeled[ClassTag.COLORED_SPLIT],
-                 census.labeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN]),
-            ]
-            for kind, expected, got in checks:
-                if expected != got:
-                    mismatch(kind, n, expected, got)
+    chain = derive_labeled_chain(8)
+    for n in range(0, min(max_n, 6) + 1):
+        census = class_census(n)
+        checks = [
+            ("oracle-bicolored", bicolored_labeled(n), census.labeled[ClassTag.BICOLORED]),
+            ("oracle-split", split_labeled(n), census.labeled[ClassTag.SPLIT]),
+            ("oracle-unbalanced", chain["U"][n], census.labeled[ClassTag.UNBALANCED]),
+            ("oracle-balanced", chain["B"][n], census.labeled[ClassTag.BALANCED]),
+            ("oracle-split-series", chain["S"][n], census.labeled[ClassTag.SPLIT]),
+            ("oracle-colored-split", chain["cS"][n], census.labeled[ClassTag.COLORED_SPLIT]),
+            ("oracle-colored-equals-bicolored-star", census.labeled[ClassTag.COLORED_SPLIT],
+             census.labeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN]),
+        ]
+        for kind, expected, got in checks:
+            if expected != got:
+                mismatch(kind, n, expected, got)
 
-        top = min(max_n, 7)
-        base = [class_census(n).unlabeled[ClassTag.SPLIT] for n in range(top + 1)]
-        unlabeled = derive_unlabeled_chain(top, base)
-        for n in range(0, top + 1):
-            census = class_census(n)
-            checks = [
-                ("oracle-unlabeled-unbalanced", unlabeled["U"][n],
-                 census.unlabeled[ClassTag.UNBALANCED]),
-                ("oracle-unlabeled-bicolored", unlabeled["BC"][n],
-                 census.unlabeled[ClassTag.BICOLORED]),
-                ("oracle-unlabeled-colored-split", census.unlabeled[ClassTag.SPLIT],
-                 census.unlabeled[ClassTag.COLORED_SPLIT]),
-            ]
-            for kind, expected, got in checks:
-                if expected != got:
-                    mismatch(kind, n, expected, got)
+    top = min(max_n, 7)
+    base = [class_census(n).unlabeled[ClassTag.SPLIT] for n in range(top + 1)]
+    unlabeled = derive_unlabeled_chain(top, base)
+    for n in range(0, top + 1):
+        census = class_census(n)
+        checks = [
+            ("oracle-unlabeled-unbalanced", unlabeled["U"][n],
+             census.unlabeled[ClassTag.UNBALANCED]),
+            ("oracle-unlabeled-bicolored", unlabeled["BC"][n],
+             census.unlabeled[ClassTag.BICOLORED]),
+            ("oracle-unlabeled-colored-split", census.unlabeled[ClassTag.SPLIT],
+             census.unlabeled[ClassTag.COLORED_SPLIT]),
+        ]
+        for kind, expected, got in checks:
+            if expected != got:
+                mismatch(kind, n, expected, got)
 
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return CrossCheckReport(max_n, discrepancies, elapsed_ms)

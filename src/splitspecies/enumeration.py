@@ -15,10 +15,11 @@ The oracle never consults the series or the closed forms.  The tests check
 the generated split graphs against the Hammer-Simeone degree test and a
 subset scan, and the classes against the swing analysis of ``structure``.
 
-Orbit counting works by scanning the sorted array of structure keys and, at
-each not-yet-seen key, generating the whole orbit with precomputed
-permutation tables and flagging its members.  Each orbit is counted once, at
-its minimal key, which doubles as the canonical code.
+Every structure is one integer key, (edge word << n) | green mask, with
+green mask 0 for a plain graph.  Orbit counting scans the sorted array of
+keys and, at each not-yet-seen key, generates the whole orbit from one
+precomputed permutation table and flags its members.  Each orbit is counted
+once, at its minimal key, which doubles as the canonical code.
 
 numpy is imported by the functions that use it, on first use, so a process
 that never runs the census does not load it.
@@ -177,11 +178,12 @@ _ORBIT_CHUNK = 4096
 
 
 @lru_cache(maxsize=16)
-def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-permutation bit images: edge_bits[q, e] and vert_bits[q, v].
+def _perm_tables(n: int) -> np.ndarray:
+    """Image of every key bit under every relabeling, one row per key bit.
 
-    Entry values are already shifted (1 << target), so an orbit is assembled
-    by OR-ing columns.
+    A key is (edge word << n) | green mask.  Row v < n holds 1 << p[v] and
+    row n + e the shifted image of edge bit e, for each permutation p, so the
+    orbit of a key is the OR of the rows of its set bits.
     """
     import numpy as np
 
@@ -189,44 +191,31 @@ def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     ends = np.array(edge_pairs(n), dtype=np.int64).reshape(-1, 2)
     a, b = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
     hi, lo = np.maximum(a, b), np.minimum(a, b)
-    return np.left_shift(1, hi * (hi - 1) // 2 + lo), np.left_shift(1, perms)
+    bits = np.concatenate((perms, n + hi * (hi - 1) // 2 + lo), axis=1)
+    return np.left_shift(1, np.ascontiguousarray(bits.T))
 
 
-def _word_orbit(word: int, edge_bits: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    orbit = np.zeros(edge_bits.shape[0], dtype=np.int64)
-    for e in bits_of(word):
-        orbit |= edge_bits[:, e]
-    return orbit
-
-
-def _mask_orbit(mask: int, vert_bits: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    orbit = np.zeros(vert_bits.shape[0], dtype=np.int64)
-    for v in bits_of(mask):
-        orbit |= vert_bits[:, v]
-    return orbit
-
-
-def _orbit_reps(keys: np.ndarray, orbit_of) -> list[int]:
+def _orbit_reps(keys: np.ndarray, table: np.ndarray) -> list[int]:
     """Indices of one representative per orbit in a sorted key array.
 
-    ``orbit_of(key)`` must return the full orbit of a key as an array whose
-    members all occur in ``keys``.  The keys are scanned a chunk at a time;
-    a key left unflagged at the start of its chunk is checked again, since an
-    orbit found earlier in the chunk may have covered it.
+    ``table`` comes from ``_perm_tables``, and every image of a key must occur
+    in ``keys``.  The keys are scanned a chunk at a time; a key left
+    unflagged at the start of its chunk is checked again, since an orbit
+    found earlier in the chunk may have covered it.
     """
     import numpy as np
 
     flags = np.zeros(len(keys), dtype=bool)
+    orbit = np.empty(table.shape[1], dtype=np.int64)
     reps = []
     for lo in range(0, len(keys), _ORBIT_CHUNK):
         for pos in np.flatnonzero(~flags[lo:lo + _ORBIT_CHUNK]) + lo:
             if not flags[pos]:
                 reps.append(int(pos))
-                flags[np.searchsorted(keys, np.sort(orbit_of(int(keys[pos]))))] = True
+                orbit.fill(0)
+                for b in bits_of(int(keys[pos])):
+                    orbit |= table[b]
+                flags[np.searchsorted(keys, np.sort(orbit))] = True
     return reps
 
 
@@ -246,7 +235,11 @@ def _greens_covered(n: int, green: int, words: np.ndarray) -> np.ndarray:
 
 
 def _bicolored_keys(n: int, no_isolated_green: bool) -> np.ndarray:
-    """Sorted keys (edge word << n | green mask) of all bicolored structures."""
+    """Keys (edge word << n | green mask) of all bicolored structures.
+
+    Green-major: ascending green mask, then the cross-edge subsets in the
+    order of ``_cross_words``.
+    """
     import numpy as np
 
     out = []
@@ -255,9 +248,7 @@ def _bicolored_keys(n: int, no_isolated_green: bool) -> np.ndarray:
         if no_isolated_green:
             words = words[_greens_covered(n, green, words)]
         out.append((words << n) | green)
-    keys = np.concatenate(out)
-    keys.sort()
-    return keys
+    return np.concatenate(out)
 
 
 def _colored_split_keys(n: int) -> np.ndarray:
@@ -330,7 +321,7 @@ def class_census(n: int) -> Census:
 
     check_size(n, high=CENSUS_MAX_N)
     data = _split_data(n)
-    edge_bits, vert_bits = _perm_tables(n)
+    table = _perm_tables(n)
 
     labeled = {}
     unlabeled = {}
@@ -347,17 +338,17 @@ def class_census(n: int) -> Census:
     labeled[ClassTag.COLORED_SPLIT] = len(colored_keys)
     bic_keys = _bicolored_keys(n, no_isolated_green=False)
     bic_star_keys = _bicolored_keys(n, no_isolated_green=True)
+    bic_keys.sort()
+    bic_star_keys.sort()
     labeled[ClassTag.BICOLORED] = len(bic_keys)
     labeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN] = len(bic_star_keys)
 
-    # unlabeled graph classes: one orbit sweep over all words, one over split
-    def word_orbit(w):
-        return _word_orbit(w, edge_bits)
+    # unlabeled graph classes: one orbit sweep over all words, one over split;
+    # a plain graph's key has green mask 0
+    all_keys = np.arange(0, 1 << (n * (n - 1) // 2 + n), 1 << n, dtype=np.int64)
+    unlabeled[ClassTag.ALL_GRAPHS] = len(_orbit_reps(all_keys, table))
 
-    all_words = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-    unlabeled[ClassTag.ALL_GRAPHS] = len(_orbit_reps(all_words, word_orbit))
-
-    split_reps = _orbit_reps(data.words, word_orbit)
+    split_reps = _orbit_reps(data.words << n, table)
     cls_counts = np.bincount(data.classes[split_reps], minlength=4).tolist()
     unlabeled[ClassTag.SPLIT] = len(split_reps)
     unlabeled[ClassTag.BALANCED] = cls_counts[_BAL]
@@ -366,12 +357,9 @@ def class_census(n: int) -> Census:
     unlabeled[ClassTag.S_CANONICAL] = cls_counts[_SCAN]
     unlabeled[ClassTag.UNBALANCED] = len(split_reps) - cls_counts[_BAL]
 
-    def key_orbit(key):
-        return (_word_orbit(key >> n, edge_bits) << n) | _mask_orbit(key & ((1 << n) - 1), vert_bits)
-
-    unlabeled[ClassTag.COLORED_SPLIT] = len(_orbit_reps(colored_keys, key_orbit))
-    unlabeled[ClassTag.BICOLORED] = len(_orbit_reps(bic_keys, key_orbit))
-    unlabeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN] = len(_orbit_reps(bic_star_keys, key_orbit))
+    unlabeled[ClassTag.COLORED_SPLIT] = len(_orbit_reps(colored_keys, table))
+    unlabeled[ClassTag.BICOLORED] = len(_orbit_reps(bic_keys, table))
+    unlabeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN] = len(_orbit_reps(bic_star_keys, table))
 
     census = Census(n, labeled, unlabeled)
     _assert_census_identities(census)
@@ -432,21 +420,16 @@ def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
             wanted = data.classes == _CLS_OF_TAG[tag]
         for word in data.words[wanted]:
             yield Graph.from_edge_word(n, int(word))
-    elif tag is ClassTag.COLORED_SPLIT:
-        for key in _colored_split_keys(n):
-            key = int(key)
-            g = Graph.from_edge_word(n, key >> n)
-            green = key & ((1 << n) - 1)
-            yield ColoredSplitGraph(g, bits_of(green), bits_of(g.vertex_mask() ^ green))
     else:
+        if tag is ClassTag.COLORED_SPLIT:
+            carrier, keys = ColoredSplitGraph, _colored_split_keys(n)
+        else:
+            carrier = BicoloredGraph
+            keys = _bicolored_keys(n, tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN)
         full = (1 << n) - 1
-        for green in range(full + 1):
-            words = _cross_words(n, green)
-            if tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN:
-                words = words[_greens_covered(n, green, words)]
-            for word in words:
-                g = Graph.from_edge_word(n, int(word))
-                yield BicoloredGraph(g, bits_of(green), bits_of(full ^ green))
+        for key in keys.tolist():
+            green = key & full
+            yield carrier(Graph.from_edge_word(n, key >> n), bits_of(green), bits_of(full ^ green))
 
 
 def count_labeled(n: int, tag: ClassTag) -> int:
@@ -463,9 +446,7 @@ def count_unlabeled(n: int, tag: ClassTag) -> int:
     """Number of isomorphism classes (color-preserving for colored classes)."""
     _check_limit(n, tag, unlabeled=True)
     if n > CENSUS_MAX_N:  # split only, per _check_limit
-        words = _split_words(n)
-        edge_bits, _ = _perm_tables(n)
-        return len(_orbit_reps(words, lambda w: _word_orbit(w, edge_bits)))
+        return len(_orbit_reps(_split_words(n) << n, _perm_tables(n)))
     return class_census(n).unlabeled[tag]
 
 

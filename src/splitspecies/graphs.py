@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -74,6 +74,9 @@ class Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         return cls(n, tuple(rows))
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "edges": [list(e) for e in self.edges()]}
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -168,7 +171,7 @@ def canonical_code(g: Graph) -> bytes:
     n! permutations, hence restricted to n <= 8.
     """
     check_size(g.n, high=CANON_MAX_VERTICES, what="vertex count")
-    best = min(_word_images(g))
+    best = min(_permuted_word(g, p) for p in itertools.permutations(range(g.n)))
     return b"G" + bytes([g.n]) + best.to_bytes(4, "big")
 
 
@@ -182,7 +185,6 @@ def canonical_code_bicolored(b: "BicoloredGraph") -> bytes:
     g = b.graph
     check_size(g.n, high=CANON_MAX_VERTICES, what="vertex count")
     nbits = g.n * (g.n - 1) // 2
-    green_mask = mask_of(b.green)
     best = None
     for p in itertools.permutations(range(g.n)):
         word = _permuted_word(g, p)
@@ -203,35 +205,62 @@ def _permuted_word(g: Graph, p: Sequence[int]) -> int:
     return word
 
 
-def _word_images(g: Graph):
-    if g.n == 0:
-        yield 0
-        return
-    for p in itertools.permutations(range(g.n)):
-        yield _permuted_word(g, p)
-
-
 # ---------------------------------------------------------------------------
-# Bicolored graphs
+# Two-colored graphs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BicoloredGraph:
-    """Graph plus a green/red vertex coloring in which every edge is bichromatic.
+class TwoColoredGraph:
+    """Graph plus an ordered green/red partition of its vertices.
 
-    The two colors are an *ordered* pair: swapping them generally yields a
-    different structure, and the canonical code keeps them apart.
+    The carrier shared by colored split graphs and bicolored graphs: the
+    constructor checks that green and red are sorted and partition the
+    vertex set, keeps both as masks, and hands them to ``_check_edges``,
+    where each subclass tests its own edge constraint.  The two colors are
+    an *ordered* pair: swapping them generally yields a different structure.
     """
 
     graph: Graph
     green: tuple[int, ...]
     red: tuple[int, ...]
+    _green: int = field(init=False, repr=False, compare=False)
+    _red: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        full = self.graph.vertex_mask()
         gm, rm = mask_of(self.green), mask_of(self.red)
-        if gm & rm or (gm | rm) != full or self.green != bits_of(gm) or self.red != bits_of(rm):
+        if gm & rm or (gm | rm) != self.graph.vertex_mask() \
+                or self.green != bits_of(gm) or self.red != bits_of(rm):
             raise NotAPartition("green and red must partition the vertex set (sorted, disjoint)")
+        object.__setattr__(self, "_green", gm)
+        object.__setattr__(self, "_red", rm)
+        self._check_edges(gm, rm)
+
+    def _check_edges(self, gm: int, rm: int):
+        """Raise unless the edges suit the class; the base accepts any."""
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    def green_mask(self) -> int:
+        return self._green
+
+    def red_mask(self) -> int:
+        return self._red
+
+    def to_json(self) -> dict:
+        return {**self.graph.to_json(), "green": list(self.green), "red": list(self.red)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        g = graph_from_json(data)
+        return cls(g, tuple(sorted(data["green"])), tuple(sorted(data["red"])))
+
+
+class BicoloredGraph(TwoColoredGraph):
+    """Two-colored graph in which every edge is bichromatic."""
+
+    def _check_edges(self, gm: int, rm: int):
         for v in self.green:
             if self.graph.rows[v] & gm:
                 raise MonochromeEdge(f"edge within the green class at vertex {v}")
@@ -239,27 +268,8 @@ class BicoloredGraph:
             if self.graph.rows[v] & rm:
                 raise MonochromeEdge(f"edge within the red class at vertex {v}")
 
-    def green_mask(self) -> int:
-        return mask_of(self.green)
-
-    def red_mask(self) -> int:
-        return mask_of(self.red)
-
     def isolated_greens(self) -> tuple[int, ...]:
         return tuple(v for v in self.green if self.graph.rows[v] == 0)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.graph.n,
-            "edges": [list(e) for e in self.graph.edges()],
-            "green": list(self.green),
-            "red": list(self.red),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BicoloredGraph":
-        g = make_graph(data["n"], [tuple(e) for e in data["edges"]])
-        return cls(g, tuple(sorted(data["green"])), tuple(sorted(data["red"])))
 
 
 def make_bicolored(n: int, edges: Iterable[tuple[int, int]], green: Iterable[int]) -> BicoloredGraph:
@@ -286,10 +296,6 @@ def bits_of(mask: int) -> tuple[int, ...]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return tuple(out)
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
 def graph_from_json(data: dict) -> Graph:

@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import BrokenInvariant, NotAPartition, NotSMax, NotSplit, check_size
-from .graphs import MAX_VERTICES, Graph, bits_of, mask_of
+from .graphs import MAX_VERTICES, Graph, TwoColoredGraph, bits_of, mask_of
 
 KIND_EMPTY = "empty"
 KIND_SINGLETON = "singleton"
@@ -259,8 +259,7 @@ def _partitions_checked(g: Graph) -> list[KSPartition]:
 # Colored split graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColoredSplitGraph:
+class ColoredSplitGraph(TwoColoredGraph):
     """A split graph with a chosen S-max partition: clique green, stable red.
 
     The constructor validates both that (green, red) is a clique/stable-set
@@ -268,49 +267,16 @@ class ColoredSplitGraph:
     a valid colored structure by construction.
     """
 
-    graph: Graph
-    green: tuple[int, ...]
-    red: tuple[int, ...]
-
-    def __post_init__(self):
+    def _check_edges(self, gm: int, rm: int):
         g = self.graph
-        gm, rm = mask_of(self.green), mask_of(self.red)
-        if gm & rm or (gm | rm) != g.vertex_mask() \
-                or self.green != bits_of(gm) or self.red != bits_of(rm):
-            raise NotAPartition("green and red must partition the vertex set (sorted, disjoint)")
         if not is_clique(g, gm) or not is_stable(g, rm):
             raise NotAPartition("green must induce a clique and red a stable set")
         # alpha(g) = |red| + [some green vertex has no red neighbour]
         if any(not g.rows[v] & rm for v in self.green):
             raise NotSMax("the red side does not have maximum size")
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def green_mask(self) -> int:
-        return mask_of(self.green)
-
-    def red_mask(self) -> int:
-        return mask_of(self.red)
-
     def partition(self) -> KSPartition:
         return KSPartition(self.green, self.red)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.graph.n,
-            "edges": [list(e) for e in self.graph.edges()],
-            "green": list(self.green),
-            "red": list(self.red),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ColoredSplitGraph":
-        from .graphs import make_graph
-
-        g = make_graph(data["n"], [tuple(e) for e in data["edges"]])
-        return cls(g, tuple(sorted(data["green"])), tuple(sorted(data["red"])))
 
 
 def color(g: Graph, p: KSPartition) -> ColoredSplitGraph:
@@ -319,11 +285,6 @@ def color(g: Graph, p: KSPartition) -> ColoredSplitGraph:
     Raises NotAPartition if p is not a partition of g at all, NotSMax if it
     is a partition but its stable side is not of maximum size.
     """
-    gm, sm = p.k_mask(), p.s_mask()
-    if gm & sm or (gm | sm) != g.vertex_mask():
-        raise NotAPartition("K and S must partition the vertex set")
-    if not is_clique(g, gm) or not is_stable(g, sm):
-        raise NotAPartition("K must induce a clique and S a stable set")
     return ColoredSplitGraph(g, p.k, p.s)
 
 

@@ -1,5 +1,6 @@
 """The command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,33 @@ def test_enumerate_jsonl(capsys):
     assert all("edges" in json.loads(line) for line in lines)
 
 
+# sha256 of the stdout of ``enumerate --n 0`` .. ``--n 4``, concatenated, per class
+ENUMERATE_SHA256 = {
+    "all-graphs": "3e019318a0cf1362661bb824d73a564a2ed79c3a970ab4bb3115128ed2bcd839",
+    "split": "c4115f236a0ddd328e53e825cdafba1d01354d20719917db8db9af4ca19b99dc",
+    "balanced": "5f0a77d6ebb4209d0fb0442134fbeaa5826fc8c80f1fb86ccba1af6ba47871ca",
+    "unbalanced": "ea77824058fff320e6ca8bbc9eadfaeace31de2efd84638169ad7805842a07ae",
+    "k-canonical": "483b50b1b5a54caf0c785e487d41d6f60639dd8a61a075514f16e20c39c0bee8",
+    "s-canonical": "d473532cf04cc041d768c27982d381b498d772aa5ffbe3e8351a87b32feae77c",
+    "ambiguous": "56d39e394bfd2405062fd397abd775ff388a9f8b1684702c1aae7080ffb72ed0",
+    "colored-split": "d84749da4657873031f61d8f2a705d1aeb70081310fae395139f485717fe1af9",
+    "bicolored": "6123d4e93815316e2dd2d9c26592c8252a746e6a38877eb3d40356759a123c75",
+    "bicolored-no-isolated-green":
+        "1978eb85360f0b61e1b31f276d8e4fc794a9cf58ccf4d54257b2b5761fa03ee7",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(ENUMERATE_SHA256))
+def test_enumerate_output_is_pinned(capsys, tag):
+    """Byte-for-byte enumerate output, order included, for every class at n <= 4."""
+    digest = hashlib.sha256()
+    for n in range(5):
+        code, out, _ = run_cli(capsys, "enumerate", "--class", tag, "--n", str(n))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == ENUMERATE_SHA256[tag]
+
+
 def test_classify_split_graph(capsys, tmp_path):
     path = write_graph(tmp_path, "p4.g", "4\n0 1\n1 2\n2 3\n")
     code, out, _ = run_cli(capsys, "classify", "--graph", path)
@@ -184,11 +212,12 @@ def test_verify_identities_thread_env_does_not_change_output(capsys, monkeypatch
 
 
 def test_verify_formulas_small(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "12")
+    code, out, err = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "12")
     assert code == 0
     data = json.loads(out)
-    assert data["checked_to"] == 12 and data["discrepancies"] == []
-    assert "elapsed_ms" in data
+    assert data == {"checked_to": 12, "discrepancies": []}
+    assert err.startswith("formulas: ") and err.endswith(" ms\n")
+    assert run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "12")[:2] == (0, out)
 
 
 def test_verify_random(capsys):
@@ -279,6 +308,8 @@ BAD_INVOCATIONS = {
         ["count", "--class", "balanced", "--unlabeled", "--n", "-1"], None, 3),
     "count-negative-max-n": (["count", "--class", "split", "--labeled", "--max-n", "-1"], None, 3),
     "enumerate-negative-n": (["enumerate", "--class", "split", "--n", "-1"], None, 3),
+    "enumerate-format-option": (
+        ["enumerate", "--class", "split", "--n", "3", "--format", "jsonl"], None, 2),
     "verify-negative-max-n": (["verify", "--suite", "identities", "--max-n", "-1"], None, 3),
     "verify-negative-cases": (["verify", "--suite", "random", "--cases", "-5"], None, 3),
     "asym-negative-max-n": (["asym", "--max-n", "-1"], None, 3),
@@ -315,7 +346,7 @@ def test_bad_invocations_exit_with_documented_codes(capsys, tmp_path, case):
     if expected == 3:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
     else:
-        assert "usage:" in err and "is required" in err
+        assert "usage:" in err and ("is required" in err or "unrecognized arguments" in err)
 
 
 def test_internal_invariant_failure_exits_4(capsys, monkeypatch):

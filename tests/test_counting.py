@@ -93,7 +93,7 @@ def test_cross_check_small_oracle():
 
 
 def test_cross_check_trivial():
-    report = cross_check(0, include_oracle=False)
+    report = cross_check(0)
     assert report.ok
 
 

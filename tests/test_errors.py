@@ -34,7 +34,7 @@ BOUNDARY = {
     "split-bp-zero": (lambda: counting.split_labeled_bp(0), OutOfRange),
     "chain-count-negative": (lambda: counting.chain_count("U", -1), OutOfRange),
     "unbalanced-negative": (lambda: counting.unbalanced_labeled(-1), OutOfRange),
-    "cross-check-negative": (lambda: counting.cross_check(-1, include_oracle=False), OutOfRange),
+    "cross-check-negative": (lambda: counting.cross_check(-1), OutOfRange),
     "labeled-chain-negative": (lambda: series.derive_labeled_chain(-1), OutOfRange),
     "asymptotic-zero": (lambda: asymptotics.asymptotic_bicolored(0), OutOfRange),
     "b-ratio-negative": (lambda: asymptotics.check_b_ratio(-1), OutOfRange),
@@ -117,7 +117,7 @@ def test_check_size():
 
 def test_sizes_at_the_bounds_still_work():
     assert counting.split_labeled_bp(1) == 1
-    assert counting.cross_check(0, include_oracle=False).ok
+    assert counting.cross_check(0).ok
     assert asymptotics.check_b_ratio(0) == []
     assert asymptotics.ratio_report(0, bits=MIN_BITS).rows == []
     assert len(series.derive_labeled_chain(0)["S"]) == 1

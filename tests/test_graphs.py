@@ -17,7 +17,6 @@ from splitspecies.graphs import (
     degree_sequence,
     format_graph_text,
     graph_from_json,
-    graph_to_json,
     is_split,
     make_bicolored,
     make_graph,
@@ -172,6 +171,7 @@ def test_canonical_code_examples():
     for p in itertools.permutations(range(3)):
         assert canonical_code(relabel(p3, p)) == canonical_code(p3)
     assert canonical_code(complete_graph(3)) != canonical_code(p3)
+    assert canonical_code(empty_graph(0)) == b"G\x00" + bytes(4)
     codes = {canonical_code(Graph.from_edge_word(4, w)) for w in range(64)}
     assert len(codes) == 11  # the classical unlabeled count at n = 4
     with pytest.raises(TooLarge):
@@ -233,6 +233,6 @@ def test_bicolored_validation():
 def test_text_and_json_round_trips():
     g = make_graph(5, [(0, 1), (1, 4), (2, 3)])
     assert parse_graph_text(format_graph_text(g)) == g
-    assert graph_from_json(graph_to_json(g)) == g
+    assert graph_from_json(g.to_json()) == g
     b = make_bicolored(3, [(0, 2)], [0])
     assert BicoloredGraph.from_json(b.to_json()) == b
