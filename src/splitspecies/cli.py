@@ -182,7 +182,7 @@ def _random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[
     Returns the failures and the round trips skipped because their class has
     no graphs at size min(max_n, 7).
     """
-    from .enumeration import _split_data
+    from .enumeration import _AMB, _KCAN, _split_data
     from .graphs import complement, is_split, make_graph, relabel
 
     rng = random.Random(seed)
@@ -209,8 +209,8 @@ def _random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[
     data = _split_data(n)
     from .structure import all_colorings
 
-    kcanonical = data.words[data.classes == 2].tolist()
-    ambiguous = data.words[data.classes == 1].tolist()
+    kcanonical = [w for w, cls in zip(data.words, data.classes) if cls == _KCAN]
+    ambiguous = [w for w, cls in zip(data.words, data.classes) if cls == _AMB]
     skipped = []
     if not kcanonical:
         skipped.append({"class": "k-canonical", "n": n, "checks": [

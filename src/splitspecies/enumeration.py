@@ -3,26 +3,30 @@
 This module is the ground-truth oracle.  Split graphs come straight from the
 definition: a clique K, a stable set S = V - K, and any set of K-S edges.
 Each clique mask with each subset of its cross edges is one (graph,
-partition) pair; sorting the pairs groups them by graph, and the number of
-pairs of a graph is its number of clique/stable partitions.  That
-multiplicity gives the class: one partition is balanced, two ambiguous,
-three or more canonical (k-canonical when the largest clique side is
-unique, s-canonical otherwise).  Bicolored structures come from the same
-cross-edge expansion without the clique edges.  Unlabeled structures are
-counted by collapsing the labeled sweep into orbits under vertex relabeling.
+partition) pair.  Tables indexed by edge word (one byte per word, 2 MB at
+n = 7) gather the pairs of each graph: which words occur, and the union and
+intersection of their clique sides.  Those give the class: one partition is
+balanced, two ambiguous, three or more canonical (k-canonical when the
+largest clique side is unique, s-canonical otherwise).  Bicolored structures
+come from the same cross-edge expansion without the clique edges.  Unlabeled
+structures are counted by collapsing the labeled sweep into orbits under
+vertex relabeling.
 
 The oracle never consults the series or the closed forms.  The tests check
 the generated split graphs against the Hammer-Simeone degree test and a
 subset scan, and the classes against the swing analysis of ``structure``.
 
-Every structure is one integer key, (edge word << n) | green mask, with
-green mask 0 for a plain graph.  Orbit counting scans the sorted array of
-keys and, at each not-yet-seen key, generates the whole orbit from one
-precomputed permutation table and flags its members.  Each orbit is counted
-once, at its minimal key, which doubles as the canonical code.
+A labeled structure is one integer key, (edge word << n) | green mask, with
+green mask 0 for a plain graph.  Orbit counting flags words in a
+word-indexed table and, at each word not yet flagged, generates its whole
+orbit from a permutation table that packs the images of one edge bit under
+every relabeling into the lanes of one Python integer.  Each orbit is
+counted once, at its least word, which doubles as the canonical code.  A
+two-colored orbit is counted among its members whose green set is 0..c-1,
+under the relabelings that fix that set.
 
-numpy is imported by the functions that use it, on first use, so a process
-that never runs the census does not load it.
+Only the standard library is used: ``bytearray`` tables, ``array.array``
+results and integers as packed lanes.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import re
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -65,39 +73,40 @@ _CLS_OF_TAG = {ClassTag.BALANCED: _BAL, ClassTag.AMBIGUOUS: _AMB,
 CENSUS_MAX_N = 7  # the full census: every class, labeled and unlabeled
 SPLIT_MAX_N = 8  # split graphs alone, and labeled graphs of any kind
 
+# Words and keys are stored as C unsigned ints, at least 32 bits: an edge
+# word of n = 8 has 28 bits, a key of n = 7 has 21 + 7.
+_WORD = "I"
+
 
 def _check_limit(n: int, tag: ClassTag, unlabeled: bool = False):
     wide = tag is ClassTag.SPLIT if unlabeled else tag in _GRAPH_TAGS
     check_size(n, high=SPLIT_MAX_N if wide else CENSUS_MAX_N, what=f"{tag.value} size")
 
 
+def _edge_count(n: int) -> int:
+    return n * (n - 1) // 2
+
+
 # ---------------------------------------------------------------------------
-# Split graphs from the definition, classified by partition multiplicity
+# Split graphs from the definition, classified by their clique sides
 # ---------------------------------------------------------------------------
 
-def _popcounts(n: int) -> np.ndarray:
-    """Bit count of every n-bit mask, as a lookup table (numpy < 2 lacks one)."""
-    import numpy as np
-
-    pop = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        pop = np.concatenate((pop, pop + 1))
-    return pop
-
-
-def _cross_words(n: int, mask: int) -> np.ndarray:
+def _cross_words(n: int, mask: int, cover: bool = False, base: int = 0) -> list[int]:
     """Edge words of every set of edges between mask and its complement.
 
     Entry i holds the edges whose slots are set in i, the slots ordered by
-    (vertex in mask, vertex outside it).
+    (vertex in mask, vertex outside it), plus the edges of ``base``.  With
+    ``cover``, only the sets that give every vertex of mask at least one
+    edge, in the same order.
     """
-    import numpy as np
-
-    words = np.zeros(1, dtype=np.int64)
     outside = bits_of(((1 << n) - 1) ^ mask)
+    words = [base]
     for g in bits_of(mask):
+        chunk = [0]  # the edge sets of g, in slot order
         for r in outside:
-            words = np.concatenate((words, words | (1 << edge_bit(g, r))))
+            bit = 1 << edge_bit(g, r)
+            chunk += [c | bit for c in chunk]
+        words = [w | c for c in (chunk[1:] if cover else chunk) for w in words]
     return words
 
 
@@ -105,40 +114,35 @@ def _clique_word(mask: int) -> int:
     return sum(1 << edge_bit(i, j) for i, j in itertools.combinations(bits_of(mask), 2))
 
 
-@lru_cache(maxsize=2)  # shared by _split_words and _split_data, built once
-def _partition_runs(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _partitions(n: int) -> Iterator[tuple[int, list[int]]]:
     """Every (split graph, clique/stable partition) pair on n vertices.
 
-    A split graph is a clique K, a stable set S and any set of K-S edges, so
-    each clique mask K with each subset of its cross edges is one pair.
-    Returns the sorted keys (edge word << n | K) and the index where each
-    graph's run of keys starts; a run's length is the graph's number of
-    partitions.
+    A split graph is a clique K, a stable set S and any set of K-S edges.
+    Yields each clique mask K, by ascending size, with the edge words of the
+    graphs that have K as a clique side.
     """
-    import numpy as np
-
-    keys = np.concatenate([((_cross_words(n, k) | _clique_word(k)) << n) | k
-                           for k in range(1 << n)])
-    keys.sort()
-    words = keys >> n
-    return keys, np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
+    for k in sorted(range(1 << n), key=int.bit_count):
+        yield k, _cross_words(n, k, base=_clique_word(k))
 
 
 @lru_cache(maxsize=16)
-def _split_words(n: int) -> np.ndarray:
-    """Sorted array of the edge words of all split graphs on n vertices."""
-    keys, starts = _partition_runs(n)
-    return keys[starts] >> n
+def _split_words(n: int) -> array:
+    """Ascending edge words of all split graphs on n vertices."""
+    seen = bytearray(1 << _edge_count(n))
+    for _, words in _partitions(n):
+        for w in words:
+            seen[w] = 1
+    return array(_WORD, map(re.Match.start, re.finditer(b"\x01", seen)))
 
 
 @dataclass(frozen=True)
 class _SplitData:
-    """Per-graph structural arrays over the sorted split words of size n."""
+    """Per-graph structural arrays over the ascending split words of size n."""
 
-    words: np.ndarray    # int64, ascending
-    classes: np.ndarray  # uint8, class codes
-    swings: np.ndarray   # int32, swing-set masks
-    kmax: np.ndarray     # int32, K-max partition clique masks
+    words: array    # edge words, ascending
+    classes: array  # class codes
+    swings: array   # swing-set masks
+    kmax: array     # K-max partition clique masks
 
 
 @lru_cache(maxsize=16)
@@ -148,128 +152,135 @@ def _split_data(n: int) -> _SplitData:
     With A the swings and Y the vertices on the clique side of every
     partition, the clique sides are: K alone (balanced); Y and Y + a
     (ambiguous); A + Y and each A + Y - a (k-canonical); Y and each Y + a
-    (s-canonical).  So a run of one is balanced, of two ambiguous, and a
-    longer run is k-canonical iff the union of its clique sides is itself the
-    largest one.  The swings are the union minus the intersection.
+    (s-canonical).  The swings are the union of the clique sides minus their
+    intersection, and a graph has one partition more than it has swings: no
+    swing is balanced, one ambiguous, and with more the graph is k-canonical
+    iff the union is itself a largest clique side.  The sides come by
+    ascending size, so the last one recorded per word is a largest.
     """
-    import numpy as np
-
     words = _split_words(n)
-    keys, starts = _partition_runs(n)
-    sides = keys & ((1 << n) - 1)
-    pop = _popcounts(n)
-    runs = np.diff(starts, append=len(keys))
-    union = np.bitwise_or.reduceat(sides, starts)
-    common = np.bitwise_and.reduceat(sides, starts)
-    swings = union & ~common
-    kcan = (runs >= 3) & (np.maximum.reduceat(pop[sides], starts) == pop[union])
-    classes = np.select([runs == 1, runs == 2, kcan], [_BAL, _AMB, _KCAN], _SCAN)
-    # an s-canonical graph has one K-max side per swing: take the lowest
-    kmax = np.where(classes == _SCAN, common | (swings & -swings), union)
-    return _SplitData(words, classes.astype(np.uint8), swings.astype(np.int32),
-                      kmax.astype(np.int32))
+    size = 1 << _edge_count(n)
+    union, common, last = bytearray(size), bytearray(b"\xff") * size, bytearray(size)
+    for k, pairs in _partitions(n):
+        for w in pairs:
+            union[w] |= k
+            common[w] &= k
+            last[w] = k
+    classes, swings, kmax = array("B"), array("B"), array("B")
+    for w in words:
+        u, c = union[w], common[w]
+        a = u ^ c
+        if not a & (a - 1):
+            cls = _AMB if a else _BAL
+        else:
+            cls = _KCAN if last[w] == u else _SCAN
+        classes.append(cls)
+        swings.append(a)
+        # an s-canonical graph has one K-max side per swing: take the lowest
+        kmax.append(c | (a & -a) if cls == _SCAN else u)
+    return _SplitData(words, classes, swings, kmax)
 
 
 # ---------------------------------------------------------------------------
 # Permutation orbit machinery
 # ---------------------------------------------------------------------------
 
-_ORBIT_CHUNK = 4096
+_LANE_BYTES = array(_WORD).itemsize
 
 
 @lru_cache(maxsize=16)
-def _perm_tables(n: int) -> np.ndarray:
-    """Image of every key bit under every relabeling, one row per key bit.
+def _perm_tables(n: int, green: int = 0) -> tuple[list[int], int]:
+    """Image of every edge bit under every relabeling fixing the set 0..green-1.
 
-    A key is (edge word << n) | green mask.  Row v < n holds 1 << p[v] and
-    row n + e the shifted image of edge bit e, for each permutation p, so the
-    orbit of a key is the OR of the rows of its set bits.
+    Returns one integer per edge bit, whose lane p (one ``_WORD`` wide)
+    holds 1 << (the bit's image under permutation p), and the byte length of
+    all lanes.  So the OR of the rows of a word's set bits holds, lane by
+    lane, the word's image under every permutation.  ``green = 0`` is the
+    whole symmetric group.
     """
-    import numpy as np
+    perms = [a + b for a in itertools.permutations(range(green))
+             for b in itertools.permutations(range(green, n))]
+    bit = [[1 << edge_bit(i, j) for j in range(n)] for i in range(n)]
+    rows = [int.from_bytes(array(_WORD, [bit[p[i]][p[j]] for p in perms]).tobytes(),
+                           sys.byteorder)
+            for i, j in edge_pairs(n)]
+    return rows, len(perms) * _LANE_BYTES
 
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    ends = np.array(edge_pairs(n), dtype=np.int64).reshape(-1, 2)
-    a, b = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
-    hi, lo = np.maximum(a, b), np.minimum(a, b)
-    bits = np.concatenate((perms, n + hi * (hi - 1) // 2 + lo), axis=1)
-    return np.left_shift(1, np.ascontiguousarray(bits.T))
 
+def _orbit_reps(keys, table: tuple[list[int], int]) -> list[int]:
+    """Least word of each orbit among the edge words ``keys``, ascending.
 
-def _orbit_reps(keys: np.ndarray, table: np.ndarray) -> list[int]:
-    """Indices of one representative per orbit in a sorted key array.
-
-    ``table`` comes from ``_perm_tables``, and every image of a key must occur
-    in ``keys``.  The keys are scanned a chunk at a time; a key left
-    unflagged at the start of its chunk is checked again, since an orbit
-    found earlier in the chunk may have covered it.
+    ``table`` comes from ``_perm_tables``, and every image of a key under
+    its permutations must be a key too.  Keys are flagged in a table indexed
+    by word; the lowest flagged word starts an orbit, which unflags all of
+    its images.
     """
-    import numpy as np
-
-    flags = np.zeros(len(keys), dtype=bool)
-    orbit = np.empty(table.shape[1], dtype=np.int64)
+    rows, nbytes = table
+    flags = bytearray(1 << len(rows))
+    for w in keys:
+        flags[w] = 1
     reps = []
-    for lo in range(0, len(keys), _ORBIT_CHUNK):
-        for pos in np.flatnonzero(~flags[lo:lo + _ORBIT_CHUNK]) + lo:
-            if not flags[pos]:
-                reps.append(int(pos))
-                orbit.fill(0)
-                for b in bits_of(int(keys[pos])):
-                    orbit |= table[b]
-                flags[np.searchsorted(keys, np.sort(orbit))] = True
+    w = flags.find(1)
+    while w >= 0:
+        reps.append(w)
+        orbit = 0
+        for b in bits_of(w):
+            orbit |= rows[b]
+        for image in array(_WORD, orbit.to_bytes(nbytes, sys.byteorder)):
+            flags[image] = 0
+        w = flags.find(1, w + 1)
     return reps
+
+
+def _two_colored_orbits(n: int, keys) -> int:
+    """Number of orbits of two-colored structures given by their labeled keys.
+
+    Relabeling maps a structure with c green vertices onto one whose green
+    set is 0..c-1, and two such structures lie in one orbit iff a
+    relabeling fixing that set maps one onto the other.  So the orbits are
+    counted among those structures, under those relabelings, per c.
+    """
+    full = (1 << n) - 1
+    prefixes = {(1 << c) - 1: [] for c in range(n + 1)}
+    for key in keys:
+        words = prefixes.get(key & full)
+        if words is not None:
+            words.append(key >> n)
+    return sum(len(_orbit_reps(words, _perm_tables(n, green.bit_count())))
+               for green, words in prefixes.items())
 
 
 # ---------------------------------------------------------------------------
 # Bicolored sweeps
 # ---------------------------------------------------------------------------
 
-def _greens_covered(n: int, green: int, words: np.ndarray) -> np.ndarray:
-    """Which cross-edge words give every green vertex a red neighbor."""
-    import numpy as np
-
-    reds = bits_of(((1 << n) - 1) ^ green)
-    ok = np.ones(len(words), dtype=bool)
-    for g in bits_of(green):
-        ok &= (words & sum(1 << edge_bit(g, r) for r in reds)) != 0
-    return ok
-
-
-def _bicolored_keys(n: int, no_isolated_green: bool) -> np.ndarray:
+def _bicolored_keys(n: int, no_isolated_green: bool) -> array:
     """Keys (edge word << n | green mask) of all bicolored structures.
 
     Green-major: ascending green mask, then the cross-edge subsets in the
     order of ``_cross_words``.
     """
-    import numpy as np
-
-    out = []
+    keys = array(_WORD)
     for green in range(1 << n):
-        words = _cross_words(n, green)
-        if no_isolated_green:
-            words = words[_greens_covered(n, green, words)]
-        out.append((words << n) | green)
-    return np.concatenate(out)
+        keys.extend([(w << n) | green for w in _cross_words(n, green, no_isolated_green)])
+    return keys
 
 
-def _colored_split_keys(n: int) -> np.ndarray:
-    """Sorted keys (edge word << n | green mask) of all colored split graphs.
+def _colored_split_keys(n: int) -> array:
+    """Ascending keys (edge word << n | green mask) of all colored split graphs.
 
     One key per (split graph, S-max partition) pair.  The S-max clique sides
     are the K-max one minus one swing vertex, each in turn, for k-canonical
     graphs, and the intersection of all clique sides, K-max minus swings, for
     every other graph.
     """
-    import numpy as np
-
     data = _split_data(n)
-    shifted = data.words << n
-    kcan = data.classes == _KCAN
-    keys = [shifted[~kcan] | (data.kmax[~kcan] & ~data.swings[~kcan])]
-    for v in range(n):
-        drop = kcan & (data.swings >> v & 1 == 1)
-        keys.append(shifted[drop] | (data.kmax[drop] ^ (1 << v)))
-    keys = np.concatenate(keys)
-    keys.sort()
+    keys = array(_WORD)
+    for w, cls, a, kmax in zip(data.words, data.classes, data.swings, data.kmax):
+        if cls == _KCAN:  # the highest swing dropped leaves the lowest mask
+            keys.extend([(w << n) | (kmax ^ (1 << v)) for v in reversed(bits_of(a))])
+        else:
+            keys.append((w << n) | (kmax & ~a))
     return keys
 
 
@@ -317,39 +328,34 @@ class Census:
 @lru_cache(maxsize=16)
 def class_census(n: int) -> Census:
     """One pass over size n computing, and cross-asserting, every class count."""
-    import numpy as np
-
     check_size(n, high=CENSUS_MAX_N)
     data = _split_data(n)
     table = _perm_tables(n)
 
     labeled = {}
     unlabeled = {}
-    nclass = np.bincount(data.classes, minlength=4)
+    nclass = [data.classes.count(c) for c in range(4)]
     labeled[ClassTag.SPLIT] = len(data.words)
-    labeled[ClassTag.BALANCED] = int(nclass[_BAL])
-    labeled[ClassTag.AMBIGUOUS] = int(nclass[_AMB])
-    labeled[ClassTag.K_CANONICAL] = int(nclass[_KCAN])
-    labeled[ClassTag.S_CANONICAL] = int(nclass[_SCAN])
-    labeled[ClassTag.UNBALANCED] = len(data.words) - int(nclass[_BAL])
-    labeled[ClassTag.ALL_GRAPHS] = 1 << (n * (n - 1) // 2)
+    labeled[ClassTag.BALANCED] = nclass[_BAL]
+    labeled[ClassTag.AMBIGUOUS] = nclass[_AMB]
+    labeled[ClassTag.K_CANONICAL] = nclass[_KCAN]
+    labeled[ClassTag.S_CANONICAL] = nclass[_SCAN]
+    labeled[ClassTag.UNBALANCED] = len(data.words) - nclass[_BAL]
+    labeled[ClassTag.ALL_GRAPHS] = 1 << _edge_count(n)
 
     colored_keys = _colored_split_keys(n)
     labeled[ClassTag.COLORED_SPLIT] = len(colored_keys)
     bic_keys = _bicolored_keys(n, no_isolated_green=False)
     bic_star_keys = _bicolored_keys(n, no_isolated_green=True)
-    bic_keys.sort()
-    bic_star_keys.sort()
     labeled[ClassTag.BICOLORED] = len(bic_keys)
     labeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN] = len(bic_star_keys)
 
-    # unlabeled graph classes: one orbit sweep over all words, one over split;
-    # a plain graph's key has green mask 0
-    all_keys = np.arange(0, 1 << (n * (n - 1) // 2 + n), 1 << n, dtype=np.int64)
-    unlabeled[ClassTag.ALL_GRAPHS] = len(_orbit_reps(all_keys, table))
+    # unlabeled graph classes: one orbit sweep over all words, one over split
+    unlabeled[ClassTag.ALL_GRAPHS] = len(_orbit_reps(range(1 << _edge_count(n)), table))
 
-    split_reps = _orbit_reps(data.words << n, table)
-    cls_counts = np.bincount(data.classes[split_reps], minlength=4).tolist()
+    split_reps = _orbit_reps(data.words, table)
+    rep_classes = [data.classes[bisect_left(data.words, w)] for w in split_reps]
+    cls_counts = [rep_classes.count(c) for c in range(4)]
     unlabeled[ClassTag.SPLIT] = len(split_reps)
     unlabeled[ClassTag.BALANCED] = cls_counts[_BAL]
     unlabeled[ClassTag.AMBIGUOUS] = cls_counts[_AMB]
@@ -357,9 +363,9 @@ def class_census(n: int) -> Census:
     unlabeled[ClassTag.S_CANONICAL] = cls_counts[_SCAN]
     unlabeled[ClassTag.UNBALANCED] = len(split_reps) - cls_counts[_BAL]
 
-    unlabeled[ClassTag.COLORED_SPLIT] = len(_orbit_reps(colored_keys, table))
-    unlabeled[ClassTag.BICOLORED] = len(_orbit_reps(bic_keys, table))
-    unlabeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN] = len(_orbit_reps(bic_star_keys, table))
+    unlabeled[ClassTag.COLORED_SPLIT] = _two_colored_orbits(n, colored_keys)
+    unlabeled[ClassTag.BICOLORED] = _two_colored_orbits(n, bic_keys)
+    unlabeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN] = _two_colored_orbits(n, bic_star_keys)
 
     census = Census(n, labeled, unlabeled)
     _assert_census_identities(census)
@@ -391,7 +397,7 @@ def colored_kcanonical_labeled(n: int) -> int:
     """Number of labeled colored split graphs whose underlying graph is k-canonical."""
     _check_limit(n, ClassTag.COLORED_SPLIT)
     data = _split_data(n)
-    return int(_popcounts(n)[data.swings[data.classes == _KCAN]].sum())
+    return sum(a.bit_count() for a, cls in zip(data.swings, data.classes) if cls == _KCAN)
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +413,20 @@ def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
     """
     _check_limit(n, tag)
     if tag is ClassTag.ALL_GRAPHS:
-        for word in range(1 << (n * (n - 1) // 2)):
+        for word in range(1 << _edge_count(n)):
             yield Graph.from_edge_word(n, word)
     elif tag is ClassTag.SPLIT:
         for word in _split_words(n):
-            yield Graph.from_edge_word(n, int(word))
+            yield Graph.from_edge_word(n, word)
     elif tag in _CLASSIFIED_TAGS:
         data = _split_data(n)
         if tag is ClassTag.UNBALANCED:
-            wanted = data.classes != _BAL
+            wanted = {_AMB, _KCAN, _SCAN}
         else:
-            wanted = data.classes == _CLS_OF_TAG[tag]
-        for word in data.words[wanted]:
-            yield Graph.from_edge_word(n, int(word))
+            wanted = {_CLS_OF_TAG[tag]}
+        for word, cls in zip(data.words, data.classes):
+            if cls in wanted:
+                yield Graph.from_edge_word(n, word)
     else:
         if tag is ClassTag.COLORED_SPLIT:
             carrier, keys = ColoredSplitGraph, _colored_split_keys(n)
@@ -427,16 +434,16 @@ def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
             carrier = BicoloredGraph
             keys = _bicolored_keys(n, tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN)
         full = (1 << n) - 1
-        for key in keys.tolist():
+        for key in keys:
             green = key & full
             yield carrier(Graph.from_edge_word(n, key >> n), bits_of(green), bits_of(full ^ green))
 
 
 def count_labeled(n: int, tag: ClassTag) -> int:
-    """Number of labeled structures, by enumeration (vectorized where large)."""
+    """Number of labeled structures, by enumeration."""
     _check_limit(n, tag)
     if tag is ClassTag.ALL_GRAPHS:
-        return 1 << (n * (n - 1) // 2)
+        return 1 << _edge_count(n)
     if tag is ClassTag.SPLIT:
         return len(_split_words(n))
     return class_census(n).labeled[tag]
@@ -446,7 +453,7 @@ def count_unlabeled(n: int, tag: ClassTag) -> int:
     """Number of isomorphism classes (color-preserving for colored classes)."""
     _check_limit(n, tag, unlabeled=True)
     if n > CENSUS_MAX_N:  # split only, per _check_limit
-        return len(_orbit_reps(_split_words(n) << n, _perm_tables(n)))
+        return len(_orbit_reps(_split_words(n), _perm_tables(n)))
     return class_census(n).unlabeled[tag]
 
 

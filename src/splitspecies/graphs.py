@@ -227,6 +227,7 @@ class TwoColoredGraph:
     _red: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_labels(self.green + self.red)
         gm, rm = mask_of(self.green), mask_of(self.red)
         if gm & rm or (gm | rm) != self.graph.vertex_mask() \
                 or self.green != bits_of(gm) or self.red != bits_of(rm):
@@ -254,7 +255,9 @@ class TwoColoredGraph:
     @classmethod
     def from_json(cls, data: dict):
         g = graph_from_json(data)
-        return cls(g, tuple(sorted(data["green"])), tuple(sorted(data["red"])))
+        green, red = tuple(data["green"]), tuple(data["red"])
+        _check_labels(green + red)
+        return cls(g, tuple(sorted(green)), tuple(sorted(red)))
 
 
 class BicoloredGraph(TwoColoredGraph):
@@ -281,6 +284,13 @@ def make_bicolored(n: int, edges: Iterable[tuple[int, int]], green: Iterable[int
 # ---------------------------------------------------------------------------
 # Mask/tuple helpers and serialization
 # ---------------------------------------------------------------------------
+
+def _check_labels(labels: tuple) -> None:
+    """Raise MalformedInput unless every label is an int (a bool is not)."""
+    for v in labels:
+        if type(v) is not int:
+            raise MalformedInput(f"vertex label must be an integer, got {v!r}")
+
 
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0

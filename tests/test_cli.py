@@ -27,13 +27,14 @@ def write_graph(tmp_path, name, text):
     return path
 
 
-# Runs CLI commands in one fresh interpreter; after each, prints its exit code
-# and which of the watched modules are loaded.
+# Runs CLI commands in one fresh interpreter in which numpy cannot be imported;
+# after each, prints its exit code and which of the watched modules are loaded.
 _MODULE_PROBE = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None
 import splitspecies
 import splitspecies.cli as cli
-watched = ("mpmath", "numpy", "splitspecies.asymptotics", "splitspecies.enumeration")
+watched = ("mpmath", "splitspecies.asymptotics", "splitspecies.enumeration")
 seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -44,20 +45,26 @@ print(json.dumps(seen))
 
 
 def test_light_commands_do_not_load_numpy_or_mpmath():
-    """Labeled counts load neither numpy nor mpmath, and asym loads only mpmath.
+    """No command needs numpy; only asym loads mpmath.
 
-    The package's own modules stay loaded: the span tracer patches them.
+    Labeled counts, the census commands and the seeded random suite all run
+    with numpy unimportable.  The package's own modules stay loaded: the
+    span tracer patches them.
     """
     src = os.path.dirname(os.path.dirname(splitspecies.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     commands = [["count", "--class", "split", "--labeled", "--n", "20"],
                 ["count", "--class", "balanced", "--labeled", "--n", "64"],
+                ["verify", "--suite", "identities", "--max-n", "5"],
+                ["count", "--class", "balanced", "--unlabeled", "--max-n", "6"],
+                ["enumerate", "--class", "bicolored", "--n", "4"],
+                ["verify", "--suite", "random", "--seed", "7"],
                 ["asym", "--max-n", "5"]]
     done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(commands)],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     package = ["splitspecies.asymptotics", "splitspecies.enumeration"]
-    assert json.loads(done.stdout) == [[0, package], [0, package], [0, ["mpmath"] + package]]
+    assert json.loads(done.stdout) == [[0, package]] * 6 + [[0, ["mpmath"] + package]]
 
 
 def test_count_bicolored_labeled(capsys):
@@ -301,6 +308,9 @@ BAD_INVOCATIONS = {
         '{"n": 2, "edges": [[0, 1]], "red": [1]}', 3),
     "bicolored-malformed-json": (
         ["biject", "--map", "bicolored-to-split", "--input", "{file}"], "[1, 2", 3),
+    "colored-json-bool-label": (
+        ["biject", "--map", "split-to-bicolored", "--input", "{file}"],
+        '{"n": 2, "edges": [[0, 1]], "green": [true], "red": [0]}', 3),
     "count-labeled-negative-n": (["count", "--class", "split", "--labeled", "--n", "-1"], None, 3),
     "count-all-graphs-negative-n": (
         ["count", "--class", "all-graphs", "--labeled", "--n", "-1"], None, 3),

@@ -148,19 +148,22 @@ def test_unlabeled_partial_sum_identities(census7):
 
 
 def test_unlabeled_counts_match_canonical_code_sets():
-    """The orbit sweep agrees with hashing canonical codes directly."""
+    """Every class's orbit count agrees with hashing canonical codes directly."""
     from splitspecies.bijections import split_to_bicolored
 
+    def code(structure):
+        if isinstance(structure, Graph):
+            return canonical_code(structure)
+        if isinstance(structure, ColoredSplitGraph):
+            # canonicalized through its bicolored image: the edge-dropping
+            # map is a color-preserving bijection
+            structure = split_to_bicolored(structure)
+        return canonical_code_bicolored(structure)
+
     for n in range(0, 6):
-        codes = {canonical_code(g) for g in enumerate_labeled(n, ClassTag.SPLIT)}
-        assert len(codes) == count_unlabeled(n, ClassTag.SPLIT)
-        bcodes = {canonical_code_bicolored(b) for b in enumerate_labeled(n, ClassTag.BICOLORED)}
-        assert len(bcodes) == count_unlabeled(n, ClassTag.BICOLORED)
-        # colored structures, canonicalized through their bicolored images
-        # (the edge-dropping map is a color-preserving bijection)
-        ccodes = {canonical_code_bicolored(split_to_bicolored(c))
-                  for c in enumerate_labeled(n, ClassTag.COLORED_SPLIT)}
-        assert len(ccodes) == count_unlabeled(n, ClassTag.COLORED_SPLIT)
+        for tag in ClassTag:
+            codes = {code(s) for s in enumerate_labeled(n, tag)}
+            assert len(codes) == count_unlabeled(n, tag), (n, tag)
 
 
 def test_too_large_errors():

@@ -89,6 +89,16 @@ BOUNDARY = {
     "bicolored-bool": (lambda: counting.bicolored_labeled(True), MalformedInput),
     "ratio-report-float-bits": (lambda: asymptotics.ratio_report(3, bits=100.5), MalformedInput),
     "graph-json-string-n": (lambda: graphs.graph_from_json({"n": "3", "edges": []}), MalformedInput),
+    # vertex labels of two-colored graphs that are not integers
+    "colored-bool-label": (lambda: structure.ColoredSplitGraph.from_json(
+        {"n": 2, "edges": [[0, 1]], "green": [True], "red": [0]}), MalformedInput),
+    "bicolored-bool-label": (lambda: BicoloredGraph(_graph(2), (0,), (True,)), MalformedInput),
+    "bicolored-float-label": (lambda: BicoloredGraph.from_json(
+        {"n": 2, "edges": [[0, 1]], "green": [0.0], "red": [1]}), MalformedInput),
+    "bicolored-string-label": (lambda: BicoloredGraph.from_json(
+        {"n": 2, "edges": [[0, 1]], "green": ["a"], "red": [1]}), MalformedInput),
+    "bicolored-mixed-labels": (lambda: BicoloredGraph.from_json(
+        {"n": 2, "edges": [], "green": [1, "a"], "red": []}), MalformedInput),
 }
 
 

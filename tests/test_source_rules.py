@@ -28,3 +28,19 @@ def test_no_bare_value_error_in_package():
                 if isinstance(exc, ast.Name) and exc.id == "ValueError":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_numpy_in_package():
+    """The package runs on the standard library and mpmath alone."""
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
