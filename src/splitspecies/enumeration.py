@@ -40,7 +40,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BrokenInvariant, check_size
 from .graphs import BicoloredGraph, Graph, bits_of, edge_bit, edge_pairs
@@ -207,7 +207,7 @@ def _perm_tables(n: int, green: int = 0) -> tuple[list[int], int]:
     return rows, len(perms) * _LANE_BYTES
 
 
-def _orbit_reps(keys, table: tuple[list[int], int]) -> list[int]:
+def _orbit_reps(keys: Sequence[int], table: tuple[list[int], int]) -> list[int]:
     """Least word of each orbit among the edge words ``keys``, ascending.
 
     ``table`` comes from ``_perm_tables``, and every image of a key under
@@ -232,7 +232,7 @@ def _orbit_reps(keys, table: tuple[list[int], int]) -> list[int]:
     return reps
 
 
-def _two_colored_orbits(n: int, keys) -> int:
+def _two_colored_orbits(n: int, keys: Sequence[int]) -> int:
     """Number of orbits of two-colored structures given by their labeled keys.
 
     Relabeling maps a structure with c green vertices onto one whose green
