@@ -15,11 +15,11 @@ the functions that use it, on first use, so the exact checks do not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, factorial
 
 from .counting import MAX_FORMULA_N, bicolored_labeled, split_labeled
 from .errors import OutOfRange, check_size
+from .record import Record
 from .series import check_unlabeled_base, derive_labeled_chain, derive_unlabeled_chain
 
 DEFAULT_BITS = 256
@@ -140,32 +140,48 @@ def u_over_s_monotone_from(n_max: int) -> int:
 # Ratio report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RatioRow:
-    n: int
-    b_ratio: object        # b_n / asymptotic(n)
-    s_over_b: object
-    u_over_s: object
-    bound: object          # n^2 / 2^{(n+1)/2}
-    bound_holds: bool      # exact comparison u_n/s_n <= bound
+class RatioRow(Record):
+    """One labeled row: ``b_ratio`` is b_n / asymptotic(n), ``bound`` is
+    n^2 / 2^{(n+1)/2}, and ``bound_holds`` the exact test u_n/s_n <= bound."""
+
+    __slots__ = _fields = ("n", "b_ratio", "s_over_b", "u_over_s", "bound", "bound_holds")
+
+    def __init__(self, n: int, b_ratio, s_over_b, u_over_s, bound, bound_holds: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b_ratio", b_ratio)
+        object.__setattr__(self, "s_over_b", s_over_b)
+        object.__setattr__(self, "u_over_s", u_over_s)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "bound_holds", bound_holds)
 
 
-@dataclass(frozen=True)
-class UnlabeledRatioRow:
-    n: int
-    s_tilde: int
-    b_tilde: int
-    u_tilde: int
-    s_over_b: object
-    u_over_s: object
-    scaled_labeled: object  # b~_n * n! / b_n, observational only
+class UnlabeledRatioRow(Record):
+    """One unlabeled row; ``scaled_labeled``, b~_n * n! / b_n, is observational only."""
+
+    __slots__ = _fields = ("n", "s_tilde", "b_tilde", "u_tilde", "s_over_b", "u_over_s",
+                           "scaled_labeled")
+
+    def __init__(self, n: int, s_tilde: int, b_tilde: int, u_tilde: int, s_over_b, u_over_s,
+                 scaled_labeled):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s_tilde", s_tilde)
+        object.__setattr__(self, "b_tilde", b_tilde)
+        object.__setattr__(self, "u_tilde", u_tilde)
+        object.__setattr__(self, "s_over_b", s_over_b)
+        object.__setattr__(self, "u_over_s", u_over_s)
+        object.__setattr__(self, "scaled_labeled", scaled_labeled)
 
 
-@dataclass
-class RatioReport:
-    bits: int
-    rows: list[RatioRow] = field(default_factory=list)
-    unlabeled_rows: list[UnlabeledRatioRow] = field(default_factory=list)
+class RatioReport(Record):
+    """The rows of ``ratio_report``, labeled and (optionally) unlabeled."""
+
+    __slots__ = _fields = ("bits", "rows", "unlabeled_rows")
+
+    def __init__(self, bits: int, rows: list[RatioRow] | None = None,
+                 unlabeled_rows: list[UnlabeledRatioRow] | None = None):
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "rows", [] if rows is None else rows)
+        object.__setattr__(self, "unlabeled_rows", [] if unlabeled_rows is None else unlabeled_rows)
 
     def to_json(self) -> dict:
         import mpmath

@@ -23,7 +23,6 @@ MAX_VERTICES vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -37,6 +36,7 @@ from .errors import (
     WrongClass,
 )
 from .graphs import MAX_VERTICES, BicoloredGraph, Graph, bits_of, mask_of, relabel
+from .record import Record
 from .structure import (
     ColoredSplitGraph,
     SplitClass,
@@ -45,26 +45,25 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class PointedSet:
+class PointedSet(Record):
     """A set of at least two labels with one distinguished element."""
 
-    elements: tuple[int, ...]
-    point: int
+    __slots__ = _fields = ("elements", "point")
 
-    def __post_init__(self):
-        _check_labels(self.elements)
-        if len(self.elements) < 2:
+    def __init__(self, elements: tuple[int, ...], point: int):
+        _check_labels(elements)
+        if len(elements) < 2:
             raise TooSmall("a pointed set here has at least two elements")
-        if self.point not in self.elements:
-            raise OutOfRange(f"point {self.point} not among elements {self.elements}")
+        if point not in elements:
+            raise OutOfRange(f"point {point} not among elements {elements}")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "point", point)
 
     def to_json(self) -> dict:
         return {"elements": list(self.elements), "point": self.point}
 
 
-@dataclass(frozen=True)
-class EmbeddedGraph:
+class EmbeddedGraph(Record):
     """A graph living on an arbitrary label subset of 0..15.
 
     ``labels[i]`` is the external label of the core's vertex i; labels are
@@ -72,11 +71,12 @@ class EmbeddedGraph:
     structural equality.
     """
 
-    labels: tuple[int, ...]
-    core: Graph
+    __slots__ = _fields = ("labels", "core")
 
-    def __post_init__(self):
-        _check_labels(self.labels, self.core.n)
+    def __init__(self, labels: tuple[int, ...], core: Graph):
+        _check_labels(labels, core.n)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "core", core)
 
     def relabeled(self, p: Sequence[int]) -> "EmbeddedGraph":
         labels, q = _label_map(self.labels, p)
@@ -94,15 +94,15 @@ class EmbeddedGraph:
         return cls(tuple(range(g.n)), g)
 
 
-@dataclass(frozen=True)
-class EmbeddedColored:
+class EmbeddedColored(Record):
     """A colored split graph living on an arbitrary label subset of 0..15."""
 
-    labels: tuple[int, ...]
-    core: ColoredSplitGraph
+    __slots__ = _fields = ("labels", "core")
 
-    def __post_init__(self):
-        _check_labels(self.labels, self.core.n)
+    def __init__(self, labels: tuple[int, ...], core: ColoredSplitGraph):
+        _check_labels(labels, core.n)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "core", core)
 
     def green_labels(self) -> tuple[int, ...]:
         return tuple(self.labels[v] for v in self.core.green)

@@ -13,6 +13,7 @@ stdout; the one timing, that of ``verify --suite formulas``, goes to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -57,8 +58,12 @@ def _labeled_counts(tag: ClassTag, ns) -> dict[int, int]:
     return {n: 1 << (n * (n - 1) // 2) for n in ns}  # all graphs
 
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENUMERATE_BLOCK = 4096  # lines per write of ``enumerate``
+
+
 def _emit_json(data) -> None:
-    print(json.dumps(data, sort_keys=True, separators=(",", ":")))
+    print(_JSON.encode(data))
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +97,9 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     tag = ClassTag(args.klass)
-    for structure in enumerate_labeled(args.n, tag):
-        _emit_json(structure.to_json())
+    lines = (_JSON.encode(structure.to_json()) for structure in enumerate_labeled(args.n, tag))
+    while block := list(itertools.islice(lines, _ENUMERATE_BLOCK)):
+        sys.stdout.write("\n".join(block) + "\n")
     return 0
 
 

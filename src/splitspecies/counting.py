@@ -23,10 +23,10 @@ counts against the exhaustive enumeration oracle at small n.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import comb
 
 from .errors import NonIntegralResult, OutOfRange, check_size
+from .record import Record
 from .series import decimal, derive_labeled_chain, derive_unlabeled_chain
 
 MAX_FORMULA_N = 500  # largest n_max of the formula checks (cross_check, check_b_ratio)
@@ -94,11 +94,15 @@ def balanced_labeled(n: int) -> int:
 # Cross check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CrossCheckReport:
-    checked_to: int
-    discrepancies: list
-    elapsed_ms: int  # wall time of the check; not part of the JSON form
+class CrossCheckReport(Record):
+    """Outcome of ``cross_check``; ``elapsed_ms``, its wall time, stays out of the JSON form."""
+
+    __slots__ = _fields = ("checked_to", "discrepancies", "elapsed_ms")
+
+    def __init__(self, checked_to: int, discrepancies: list, elapsed_ms: int):
+        object.__setattr__(self, "checked_to", checked_to)
+        object.__setattr__(self, "discrepancies", discrepancies)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
     @property
     def ok(self) -> bool:

@@ -38,12 +38,12 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import BrokenInvariant, check_size
 from .graphs import BicoloredGraph, Graph, bits_of, edge_bit, edge_pairs
+from .record import Record
 from .structure import ColoredSplitGraph
 
 
@@ -135,14 +135,20 @@ def _split_words(n: int) -> array:
     return array(_WORD, map(re.Match.start, re.finditer(b"\x01", seen)))
 
 
-@dataclass(frozen=True)
-class _SplitData:
-    """Per-graph structural arrays over the ascending split words of size n."""
+class _SplitData(Record):
+    """Per-graph structural arrays over the ascending split words of size n.
 
-    words: array    # edge words, ascending
-    classes: array  # class codes
-    swings: array   # swing-set masks
-    kmax: array     # K-max partition clique masks
+    ``words`` holds the edge words, ascending; ``classes`` the class codes,
+    ``swings`` the swing-set masks and ``kmax`` a K-max clique side of each.
+    """
+
+    __slots__ = _fields = ("words", "classes", "swings", "kmax")
+
+    def __init__(self, words: array, classes: array, swings: array, kmax: array):
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "swings", swings)
+        object.__setattr__(self, "kmax", kmax)
 
 
 @lru_cache(maxsize=16)
@@ -189,14 +195,14 @@ _LANE_BYTES = array(_WORD).itemsize
 
 
 @lru_cache(maxsize=16)
-def _perm_tables(n: int, green: int = 0) -> tuple[list[int], int]:
+def _perm_tables(n: int, green: int) -> tuple[list[int], int]:
     """Image of every edge bit under every relabeling fixing the set 0..green-1.
 
     Returns one integer per edge bit, whose lane p (one ``_WORD`` wide)
     holds 1 << (the bit's image under permutation p), and the byte length of
     all lanes.  So the OR of the rows of a word's set bits holds, lane by
     lane, the word's image under every permutation.  ``green = 0`` is the
-    whole symmetric group.
+    whole symmetric group; pass 0, not n, for it, so that it is built once.
     """
     perms = [a + b for a in itertools.permutations(range(green))
              for b in itertools.permutations(range(green, n))]
@@ -246,8 +252,9 @@ def _two_colored_orbits(n: int, keys: Sequence[int]) -> int:
         words = prefixes.get(key & full)
         if words is not None:
             words.append(key >> n)
-    return sum(len(_orbit_reps(words, _perm_tables(n, green.bit_count())))
-               for green, words in prefixes.items())
+    # all n vertices green fix no more than none do: both take the whole group
+    return sum(len(_orbit_reps(words, _perm_tables(n, c if c < n else 0)))
+               for c, words in enumerate(prefixes.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +302,15 @@ _CENSUS_ORDER = [
 ]
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """Labeled and unlabeled counts of every class at one size."""
 
-    n: int
-    labeled: dict
-    unlabeled: dict
+    __slots__ = _fields = ("n", "labeled", "unlabeled")
+
+    def __init__(self, n: int, labeled: dict, unlabeled: dict):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labeled", labeled)
+        object.__setattr__(self, "unlabeled", unlabeled)
 
     def to_json(self) -> dict:
         return {
@@ -330,7 +339,7 @@ def class_census(n: int) -> Census:
     """One pass over size n computing, and cross-asserting, every class count."""
     check_size(n, high=CENSUS_MAX_N)
     data = _split_data(n)
-    table = _perm_tables(n)
+    table = _perm_tables(n, 0)
 
     labeled = {}
     unlabeled = {}
@@ -453,7 +462,7 @@ def count_unlabeled(n: int, tag: ClassTag) -> int:
     """Number of isomorphism classes (color-preserving for colored classes)."""
     _check_limit(n, tag, unlabeled=True)
     if n > CENSUS_MAX_N:  # split only, per _check_limit
-        return len(_orbit_reps(_split_words(n), _perm_tables(n)))
+        return len(_orbit_reps(_split_words(n), _perm_tables(n, 0)))
     return class_census(n).unlabeled[tag]
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     SplitSpeciesError,
     check_size,
 )
+from .record import Record
 
 T = TypeVar("T")
 
@@ -35,12 +35,14 @@ MAX_VERTICES = 16  # one bitmask row per vertex; labels lie in 0..MAX_VERTICES -
 CANON_MAX_VERTICES = 8  # canonical codes minimise over all n! relabelings
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph: vertex count plus adjacency bitmask rows."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = _fields = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -50,7 +52,14 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) pairs with i < j, in edge-word bit order."""
-        return [(i, j) for (i, j) in edge_pairs(self.n) if self.has_edge(i, j)]
+        out = []
+        for j, r in enumerate(self.rows):
+            r &= (1 << j) - 1  # the neighbours i < j, ascending
+            while r:
+                b = r & -r
+                out.append((b.bit_length() - 1, j))
+                r ^= b
+        return out
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -68,11 +77,15 @@ class Graph:
 
     @classmethod
     def from_edge_word(cls, n: int, word: int) -> "Graph":
+        """The graph whose edges are the set bits of word below bit C(n, 2)."""
         rows = [0] * n
-        for e, (i, j) in enumerate(edge_pairs(n)):
-            if word >> e & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        word &= (1 << n * (n - 1) // 2) - 1
+        while word:
+            b = word & -word
+            i, j = _PAIRS[b.bit_length() - 1]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            word ^= b
         return cls(n, tuple(rows))
 
     def to_json(self) -> dict:
@@ -85,6 +98,9 @@ class Graph:
 def edge_pairs(n: int) -> list[tuple[int, int]]:
     """Vertex pairs (i, j), i < j, in edge-word bit order."""
     return [(i, j) for j in range(n) for i in range(j)]
+
+
+_PAIRS = edge_pairs(MAX_VERTICES)  # the pair of each edge bit, for any n <= MAX_VERTICES
 
 
 def edge_bit(i: int, j: int) -> int:
@@ -209,8 +225,7 @@ def _permuted_word(g: Graph, p: Sequence[int]) -> int:
 # Two-colored graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoColoredGraph:
+class TwoColoredGraph(Record):
     """Graph plus an ordered green/red partition of its vertices.
 
     The carrier shared by colored split graphs and bicolored graphs: the
@@ -220,18 +235,18 @@ class TwoColoredGraph:
     an *ordered* pair: swapping them generally yields a different structure.
     """
 
-    graph: Graph
-    green: tuple[int, ...]
-    red: tuple[int, ...]
-    _green: int = field(init=False, repr=False, compare=False)
-    _red: int = field(init=False, repr=False, compare=False)
+    _fields = ("graph", "green", "red")
+    __slots__ = _fields + ("_green", "_red")  # the two masks, kept from the check
 
-    def __post_init__(self):
-        _check_labels(self.green + self.red)
-        gm, rm = mask_of(self.green), mask_of(self.red)
-        if gm & rm or (gm | rm) != self.graph.vertex_mask() \
-                or self.green != bits_of(gm) or self.red != bits_of(rm):
+    def __init__(self, graph: Graph, green: tuple[int, ...], red: tuple[int, ...]):
+        _check_labels(green + red)
+        gm, rm = mask_of(green), mask_of(red)
+        if gm & rm or (gm | rm) != graph.vertex_mask() \
+                or green != bits_of(gm) or red != bits_of(rm):
             raise NotAPartition("green and red must partition the vertex set (sorted, disjoint)")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "green", green)
+        object.__setattr__(self, "red", red)
         object.__setattr__(self, "_green", gm)
         object.__setattr__(self, "_red", rm)
         self._check_edges(gm, rm)
@@ -262,6 +277,8 @@ class TwoColoredGraph:
 
 class BicoloredGraph(TwoColoredGraph):
     """Two-colored graph in which every edge is bichromatic."""
+
+    __slots__ = ()
 
     def _check_edges(self, gm: int, rm: int):
         for v in self.green:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
@@ -47,6 +46,7 @@ from .errors import (
     OutOfRange,
     check_size,
 )
+from .record import Record
 
 EGF = "egf"
 OGF = "ogf"
@@ -81,12 +81,14 @@ class SeriesName(enum.Enum):
     U_FACTOR_UNLABELED = "U-factor-unlabeled"
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(Record):
     """Coefficients 0..order of a truncated power series, all exact rationals."""
 
-    coeffs: tuple[Fraction, ...]
-    convention: str
+    __slots__ = _fields = ("coeffs", "convention")
+
+    def __init__(self, coeffs: tuple[Fraction, ...], convention: str):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "convention", convention)
 
     @property
     def order(self) -> int:

@@ -25,10 +25,10 @@ choices make the generating-function identities hold from order zero.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import BrokenInvariant, NotAPartition, NotSMax, NotSplit, check_size
 from .graphs import MAX_VERTICES, Graph, TwoColoredGraph, bits_of, mask_of
+from .record import Record
 
 KIND_EMPTY = "empty"
 KIND_SINGLETON = "singleton"
@@ -43,12 +43,14 @@ class SplitClass(enum.Enum):
     S_CANONICAL = "s-canonical"
 
 
-@dataclass(frozen=True)
-class KSPartition:
+class KSPartition(Record):
     """A partition of the vertices into a clique K and a stable set S."""
 
-    k: tuple[int, ...]
-    s: tuple[int, ...]
+    __slots__ = _fields = ("k", "s")
+
+    def __init__(self, k: tuple[int, ...], s: tuple[int, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
 
     def k_mask(self) -> int:
         return mask_of(self.k)
@@ -60,8 +62,7 @@ class KSPartition:
         return {"k": list(self.k), "s": list(self.s)}
 
 
-@dataclass(frozen=True)
-class SwingReport:
+class SwingReport(Record):
     """Swing set A plus the fixed sides Y (always-clique) and Z (always-stable).
 
     Every swing vertex is adjacent to all of Y and none of Z, and A, Y, Z
@@ -69,10 +70,14 @@ class SwingReport:
     "stable" for |A| >= 2, "singleton" for |A| = 1, "empty" for |A| = 0.
     """
 
-    swings: tuple[int, ...]
-    kind: str
-    y: tuple[int, ...]
-    z: tuple[int, ...]
+    __slots__ = _fields = ("swings", "kind", "y", "z")
+
+    def __init__(self, swings: tuple[int, ...], kind: str, y: tuple[int, ...],
+                 z: tuple[int, ...]):
+        object.__setattr__(self, "swings", swings)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def swing_mask(self) -> int:
         return mask_of(self.swings)
@@ -266,6 +271,8 @@ class ColoredSplitGraph(TwoColoredGraph):
     partition and that red attains the independence number, so an instance is
     a valid colored structure by construction.
     """
+
+    __slots__ = ()
 
     def _check_edges(self, gm: int, rm: int):
         g = self.graph

@@ -34,7 +34,8 @@ import contextlib, io, json, sys
 sys.modules["numpy"] = None
 import splitspecies
 import splitspecies.cli as cli
-watched = ("mpmath", "splitspecies.asymptotics", "splitspecies.enumeration")
+watched = ("dataclasses", "inspect", "mpmath", "splitspecies.asymptotics",
+           "splitspecies.enumeration")
 seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -45,11 +46,12 @@ print(json.dumps(seen))
 
 
 def test_light_commands_do_not_load_numpy_or_mpmath():
-    """No command needs numpy; only asym loads mpmath.
+    """No command needs numpy; only asym loads mpmath; none loads dataclasses.
 
     Labeled counts, the census commands and the seeded random suite all run
-    with numpy unimportable.  The package's own modules stay loaded: the
-    span tracer patches them.
+    with numpy unimportable, and neither dataclasses nor inspect (which it
+    imports) loads at start-up or in any command.  The package's own
+    modules stay loaded: the span tracer patches them.
     """
     src = os.path.dirname(os.path.dirname(splitspecies.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -126,31 +128,33 @@ def test_enumerate_jsonl(capsys):
     assert all("edges" in json.loads(line) for line in lines)
 
 
-# sha256 of the stdout of ``enumerate --n 0`` .. ``--n 4``, concatenated, per class
+# (largest n, sha256 of the stdout of ``enumerate --n 0`` .. ``--n <largest n>``,
+# concatenated) per class; n = 6 gives outputs of several write blocks
 ENUMERATE_SHA256 = {
-    "all-graphs": "3e019318a0cf1362661bb824d73a564a2ed79c3a970ab4bb3115128ed2bcd839",
-    "split": "c4115f236a0ddd328e53e825cdafba1d01354d20719917db8db9af4ca19b99dc",
-    "balanced": "5f0a77d6ebb4209d0fb0442134fbeaa5826fc8c80f1fb86ccba1af6ba47871ca",
-    "unbalanced": "ea77824058fff320e6ca8bbc9eadfaeace31de2efd84638169ad7805842a07ae",
-    "k-canonical": "483b50b1b5a54caf0c785e487d41d6f60639dd8a61a075514f16e20c39c0bee8",
-    "s-canonical": "d473532cf04cc041d768c27982d381b498d772aa5ffbe3e8351a87b32feae77c",
-    "ambiguous": "56d39e394bfd2405062fd397abd775ff388a9f8b1684702c1aae7080ffb72ed0",
-    "colored-split": "d84749da4657873031f61d8f2a705d1aeb70081310fae395139f485717fe1af9",
-    "bicolored": "6123d4e93815316e2dd2d9c26592c8252a746e6a38877eb3d40356759a123c75",
+    "all-graphs": (6, "6629f0adaccf30d8aa73691609f9d88b0037e57441e8e10cc8933b6a79e8a36f"),
+    "split": (5, "ce0f4239777241710dfb4ab571ac0334bdbefb31894c275f0dad540df967b166"),
+    "balanced": (5, "5df40da6c015399ed76898daa457067e4573e8274850b7affdb388c5110638e9"),
+    "unbalanced": (5, "5b6b631663833ca64f1f246b0012a24b751cf09bef94ccba70ed181ac23db90f"),
+    "k-canonical": (5, "e70b19d4879ea2af19c67d5959f6d99054ecf664feab8eb3d3ec5982695fd1b2"),
+    "s-canonical": (5, "fc46df906e1e0cd18e6ace6a40fb866c7a567baa8e489bfa19ac7a4aee346c18"),
+    "ambiguous": (5, "0895fd5993b0cf920269508889c054c5d740a08bed1e7d0beb7207280ddf0a0c"),
+    "colored-split": (5, "d643a9012e12782bd562e1ba010743eadba1f073b56d10a591b4e111b2d66d01"),
+    "bicolored": (6, "d5ba6602e01a6dd8383714e9a10647bba63f372c9df0bf500b88bffb3a0e39c7"),
     "bicolored-no-isolated-green":
-        "1978eb85360f0b61e1b31f276d8e4fc794a9cf58ccf4d54257b2b5761fa03ee7",
+        (5, "800428bb9b46f3b78b4c348de9e1c2831a1bfc199ca3df9f3c76b86e13d7f7e4"),
 }
 
 
 @pytest.mark.parametrize("tag", sorted(ENUMERATE_SHA256))
 def test_enumerate_output_is_pinned(capsys, tag):
-    """Byte-for-byte enumerate output, order included, for every class at n <= 4."""
+    """Byte-for-byte enumerate output, order included, for every class at n <= 5."""
+    top, expected = ENUMERATE_SHA256[tag]
     digest = hashlib.sha256()
-    for n in range(5):
+    for n in range(top + 1):
         code, out, _ = run_cli(capsys, "enumerate", "--class", tag, "--n", str(n))
         assert code == 0
         digest.update(out.encode())
-    assert digest.hexdigest() == ENUMERATE_SHA256[tag]
+    assert digest.hexdigest() == expected
 
 
 def test_classify_split_graph(capsys, tmp_path):

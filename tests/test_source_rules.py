@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import pytest
+
 import splitspecies
 
 PACKAGE_DIR = pathlib.Path(splitspecies.__file__).parent
@@ -30,8 +32,10 @@ def test_no_bare_value_error_in_package():
     assert found == []
 
 
-def test_no_numpy_in_package():
-    """The package runs on the standard library and mpmath alone."""
+@pytest.mark.parametrize("module", ["numpy", "dataclasses"])
+def test_package_never_imports(module):
+    """The package runs on the standard library and mpmath alone, and keeps
+    its start-up light: no module of it imports numpy or dataclasses."""
     found = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -41,6 +45,6 @@ def test_no_numpy_in_package():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if any(name.split(".")[0] == module for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
