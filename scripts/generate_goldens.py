@@ -7,6 +7,7 @@ Produces:
   thresholds.json         empirically pinned "large enough n" thresholds
 
 Run from the repository root:  python scripts/generate_goldens.py
+It needs mpmath (the test extra) to print the anchors of thresholds.json.
 """
 
 import json
@@ -30,6 +31,18 @@ from splitspecies.enumeration import ClassTag, class_census, write_census_files
 OUT = os.path.join(os.path.dirname(__file__), "..", "testdata")
 
 
+def b_over_asymptotic_abs_err(n, bits=256):
+    """mpmath.nstr(|b_n / asymptotic(n) - 1|, 8), the same from both ends of
+    the integer bracket of the growth formula."""
+    lo, hi = asymptotic_bicolored(n, bits)
+    with mpmath.workprec(bits):
+        ends = {mpmath.nstr(abs(mpmath.mpf(bicolored_labeled(n) << bits) / end - 1), 8)
+                for end in (lo, hi)}
+    if len(ends) != 1:
+        raise SystemExit(f"the {bits}-bit bracket does not settle 8 digits at n = {n}")
+    return ends.pop()
+
+
 def main():
     os.makedirs(OUT, exist_ok=True)
 
@@ -47,10 +60,7 @@ def main():
     s_viol = check_b_ratio(500, "split")
     us_viol = u_over_s_bound_violations(200)
     monotone_from = u_over_s_monotone_from(200)
-    anchor = {}
-    for n in (50, 100, 150, 200, 51, 101, 151, 201):
-        r = mpmath.mpf(bicolored_labeled(n)) / asymptotic_bicolored(n)
-        anchor[str(n)] = mpmath.nstr(abs(r - 1), 8)
+    anchor = {str(n): b_over_asymptotic_abs_err(n) for n in (50, 100, 150, 200, 51, 101, 151, 201)}
     thresholds = {
         "bicolored_ratio_violations": b_viol,
         "bicolored_ratio_threshold": (b_viol[-1] + 1) if b_viol else 1,

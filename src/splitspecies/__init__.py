@@ -10,10 +10,12 @@ package provides:
 * exhaustive enumeration oracles, labeled and unlabeled, for small sizes;
 * exact generating-function chains and closed-form counters, cross-checked
   against each other and against the oracles;
-* high-precision asymptotic ratio reports with exact inequality checks.
+* asymptotic ratio reports with exact inequality checks.
 
-Everything is computed in exact arithmetic; floats appear only in asymptotic
-displays.
+Everything is computed in exact integer (or rational) arithmetic, on the
+standard library alone; the asymptotic report prints its irrational ratios
+from integer brackets.  The coin flips of the seeded random suite are the
+only floats.
 """
 
 from .errors import (
@@ -107,10 +109,10 @@ from .counting import (
 from .asymptotics import (
     RatioReport,
     asymptotic_bicolored,
-    c_constant,
     check_b_ratio,
     check_b_ratio_unlabeled,
     ratio_report,
+    theta,
     u_over_s_bound_violations,
     u_over_s_monotone_from,
 )

@@ -1,4 +1,4 @@
-"""High-precision evaluation of the growth formulas and ratio inequalities.
+"""Exact evaluation of the growth formulas and ratio inequalities.
 
 The bicolored count grows like  c(n) * C(n, n/2) * 2^{n^2/4}  with a constant
 that depends only on the parity of n:
@@ -6,56 +6,55 @@ that depends only on the parity of n:
     c(even) = sum_{k in Z} 2^{-k^2}          ~ 2.128937
     c(odd)  = sum_{k in Z} 2^{-(k+1/2)^2}    ~ 2.128931
 
+c(even) = theta_even and c(odd) = 2^{-1/4} theta_odd, theta_odd = sum_{k in Z}
+2^{-k(k+1)}; at odd n the 2^{-1/4} cancels the 2^{1/4} in 2^{n^2/4}.  So the
+growth formula is C(n, floor(n/2)) * 2^{floor(n^2/4)} * theta_{parity(n)}, a
+dyadic series that ``asymptotic_bicolored`` brackets between two integers.
+
 Every pass/fail decision here is made in exact integer arithmetic on squared
 forms (for example b_n/b_{n-1} >= 2^{(n+1)/2} becomes
-b_n^2 >= 2^{n+1} b_{n-1}^2); arbitrary-precision floats (mpmath, default 256
-bits) are used only to report the ratios themselves.  mpmath is imported by
-the functions that use it, on first use, so the exact checks do not load it.
+b_n^2 >= 2^{n+1} b_{n-1}^2).  The ratio report prints 17 digits of exact
+ratios, and of integer brackets for its two irrational columns: no floats.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 from .counting import MAX_FORMULA_N, bicolored_labeled, split_labeled
-from .errors import OutOfRange, check_size
+from .errors import BrokenInvariant, OutOfRange, check_size
 from .record import Record
 from .series import check_unlabeled_base, derive_labeled_chain, derive_unlabeled_chain
 
 DEFAULT_BITS = 256
-MIN_BITS = 64  # least working precision of the reported ratios
+MIN_BITS = 64  # least starting precision of the irrational report columns
+MAX_BITS = 1 << 16  # most precision: bracket sizes and times grow with it
 
 
-def c_constant(parity: str, bits: int = DEFAULT_BITS):
-    """The parity constant, summed until the tail is below 2^-bits."""
-    import mpmath
+def theta(parity: str, bits: int = DEFAULT_BITS) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^bits * theta_parity <= hi = lo + 4, where
+    theta_even = sum_{k in Z} 2^{-k^2} and theta_odd = sum_{k in Z} 2^{-k(k+1)}.
 
+    ``lo`` sums the terms 2^{bits-e} with e <= bits; the rest add less than 2.
+    """
     if parity not in ("even", "odd"):
         raise OutOfRange(f"parity must be 'even' or 'odd', got {parity!r}")
-    check_size(bits, low=MIN_BITS, what="bits")
-    with mpmath.workprec(bits + 16):
-        two = mpmath.mpf(2)
-        half = mpmath.mpf(1) / 2
-        total = mpmath.mpf(1) if parity == "even" else mpmath.mpf(0)
-        k = 1 if parity == "even" else 0
-        while True:
-            expo = -(k * k) if parity == "even" else -((k + half) ** 2)
-            term = 2 * two**expo  # the +k and -k (or -k-1) terms together
-            total += term
-            if term < two ** (-bits - 8):
-                break
-            k += 1
-        return +total
+    check_size(bits, low=MIN_BITS, high=MAX_BITS, what="bits")
+    odd = parity == "odd"
+    total, k = (0, 0) if odd else (1 << bits, 1)
+    while k * (k + odd) <= bits:
+        total += 2 << (bits - k * (k + odd))  # the +k and -k (or -k-1) terms together
+        k += 1
+    return total, total + 4
 
 
-def asymptotic_bicolored(n: int, bits: int = DEFAULT_BITS):
-    """c(n) * C(n, floor(n/2)) * 2^{n^2/4}, as an arbitrary-precision float."""
-    import mpmath
-
+def asymptotic_bicolored(n: int, bits: int = DEFAULT_BITS) -> tuple[int, int]:
+    """Integers (lo, hi) bracketing 2^bits * C(n, floor(n/2)) * 2^{floor(n^2/4)}
+    * theta_{parity(n)}, that is 2^bits * c(n) * C(n, floor(n/2)) * 2^{n^2/4}."""
     check_size(n, low=1)
-    with mpmath.workprec(bits + 16):
-        c = c_constant("even" if n % 2 == 0 else "odd", bits)
-        return +(c * comb(n, n // 2) * mpmath.mpf(2) ** (mpmath.mpf(n * n) / 4))
+    lo, hi = theta("odd" if n % 2 else "even", bits)
+    scale = comb(n, n // 2) << (n * n // 4)
+    return scale * lo, scale * hi
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +139,71 @@ def u_over_s_monotone_from(n_max: int) -> int:
 # Ratio report
 # ---------------------------------------------------------------------------
 
+def _decimal(num: int, den: int) -> str:
+    """num/den > 0 printed as ``mpmath.nstr(num/den, 17)`` prints it.
+
+    Truncate to 20 significant digits, round half up to 17, print in fixed
+    form when the decimal exponent e has -5 < e < 17, and strip trailing zeros.
+    """
+    e = (num.bit_length() - den.bit_length() - 1) * 30103 // 100000 - 1  # <= log10(num/den)
+    digits = num * 10 ** (19 - e) // den if e <= 19 else num // (den * 10 ** (e - 19))
+    extra = len(str(digits)) - 20  # 20 to 23 digits; a floor of a floor truncates
+    digits, e = (digits // 10**extra + 500) // 1000, e + extra
+    if digits == 10**17:  # the rounding carried into an 18th digit
+        digits, e = 10**16, e + 1
+    text = str(digits)
+    if -5 < e < 17:
+        text = "0." + "0" * (-1 - e) + text if e < 0 else text[:e + 1] + "." + text[e + 1:]
+        exponent = ""
+    else:
+        text, exponent = text[0] + "." + text[1:], f"e{e:+d}"
+    text = text.rstrip("0")
+    return (text + "0" if text.endswith(".") else text) + exponent
+
+
+def _bracketed(ends, bits: int) -> str:
+    """Print the real number between the fractions (num, den) that ``ends(p)``
+    gives at p bits.  Printing is monotone, so once both ends print alike, so
+    does the number; until then the precision doubles, up to MAX_BITS.
+    """
+    while True:
+        low, high = (_decimal(num, den) for num, den in ends(bits))
+        if low == high:
+            return low
+        if bits == MAX_BITS:
+            raise BrokenInvariant(f"a {bits}-bit bracket does not settle 17 digits")
+        bits = min(2 * bits, MAX_BITS)
+
+
+def _b_ratio(n: int, b_n: int, bits: int) -> str:
+    """b_n / asymptotic(n), from one ``asymptotic_bicolored`` call at ``bits``."""
+    def ends(p):
+        lo, hi = asymptotic_bicolored(n, p)
+        return (b_n << p, hi), (b_n << p, lo)
+    return _bracketed(ends, bits)
+
+
+def _bound(n: int, bits: int) -> str:
+    """n^2 / 2^{(n+1)/2}: exact at odd n, n^2 sqrt(2) / 2^{n/2+1} at even n."""
+    if n % 2:
+        return _decimal(n * n, 1 << (n + 1) // 2)
+
+    def ends(p):
+        root = isqrt(2 << 2 * p)  # root <= 2^p sqrt(2) < root + 1
+        den = 1 << (n // 2 + 1 + p)
+        return (n * n * root, den), (n * n * (root + 1), den)
+    return _bracketed(ends, bits)
+
+
 class RatioRow(Record):
     """One labeled row: ``b_ratio`` is b_n / asymptotic(n), ``bound`` is
-    n^2 / 2^{(n+1)/2}, and ``bound_holds`` the exact test u_n/s_n <= bound."""
+    n^2 / 2^{(n+1)/2}, and ``bound_holds`` the exact test u_n/s_n <= bound.
+    The ratios are their printed 17-digit strings."""
 
     __slots__ = _fields = ("n", "b_ratio", "s_over_b", "u_over_s", "bound", "bound_holds")
 
-    def __init__(self, n: int, b_ratio, s_over_b, u_over_s, bound, bound_holds: bool):
+    def __init__(self, n: int, b_ratio: str, s_over_b: str, u_over_s: str, bound: str,
+                 bound_holds: bool):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "b_ratio", b_ratio)
         object.__setattr__(self, "s_over_b", s_over_b)
@@ -156,13 +213,14 @@ class RatioRow(Record):
 
 
 class UnlabeledRatioRow(Record):
-    """One unlabeled row; ``scaled_labeled``, b~_n * n! / b_n, is observational only."""
+    """One unlabeled row; ``scaled_labeled``, b~_n * n! / b_n, is observational only.
+    The ratios are their printed 17-digit strings."""
 
     __slots__ = _fields = ("n", "s_tilde", "b_tilde", "u_tilde", "s_over_b", "u_over_s",
                            "scaled_labeled")
 
-    def __init__(self, n: int, s_tilde: int, b_tilde: int, u_tilde: int, s_over_b, u_over_s,
-                 scaled_labeled):
+    def __init__(self, n: int, s_tilde: int, b_tilde: int, u_tilde: int, s_over_b: str,
+                 u_over_s: str, scaled_labeled: str):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s_tilde", s_tilde)
         object.__setattr__(self, "b_tilde", b_tilde)
@@ -184,42 +242,17 @@ class RatioReport(Record):
         object.__setattr__(self, "unlabeled_rows", [] if unlabeled_rows is None else unlabeled_rows)
 
     def to_json(self) -> dict:
-        import mpmath
-
-        def fmt(x):
-            return mpmath.nstr(x, 17)
-
-        return {
-            "bits": self.bits,
-            "rows": [
-                {"n": r.n, "b_ratio": fmt(r.b_ratio), "s_over_b": fmt(r.s_over_b),
-                 "u_over_s": fmt(r.u_over_s), "bound": fmt(r.bound),
-                 "bound_holds": r.bound_holds}
-                for r in self.rows
-            ],
-            "unlabeled_rows": [
-                {"n": r.n, "s_tilde": r.s_tilde, "b_tilde": r.b_tilde,
-                 "u_tilde": r.u_tilde, "s_over_b": fmt(r.s_over_b),
-                 "u_over_s": fmt(r.u_over_s), "scaled_labeled": fmt(r.scaled_labeled)}
-                for r in self.unlabeled_rows
-            ],
-        }
+        return {"bits": self.bits,
+                "rows": [dict(zip(r._fields, r._values)) for r in self.rows],
+                "unlabeled_rows": [dict(zip(r._fields, r._values)) for r in self.unlabeled_rows]}
 
     def to_csv(self) -> str:
-        import mpmath
-
-        def fmt(x):
-            return mpmath.nstr(x, 17)
-
-        lines = ["n,b_ratio,s_over_b,u_over_s,bound,bound_holds"]
-        for r in self.rows:
-            lines.append(f"{r.n},{fmt(r.b_ratio)},{fmt(r.s_over_b)},{fmt(r.u_over_s)},"
-                         f"{fmt(r.bound)},{str(r.bound_holds).lower()}")
+        # the columns are the fields; bound_holds prints as true or false
+        lines = [",".join(RatioRow._fields)]
+        lines += [",".join(str(v).lower() for v in r._values) for r in self.rows]
         if self.unlabeled_rows:
-            lines.append("n,s_tilde,b_tilde,u_tilde,s_over_b,u_over_s,scaled_labeled")
-            for r in self.unlabeled_rows:
-                lines.append(f"{r.n},{r.s_tilde},{r.b_tilde},{r.u_tilde},"
-                             f"{fmt(r.s_over_b)},{fmt(r.u_over_s)},{fmt(r.scaled_labeled)}")
+            lines.append(",".join(UnlabeledRatioRow._fields))
+            lines += [",".join(map(str, r._values)) for r in self.unlabeled_rows]
         return "\n".join(lines) + "\n"
 
 
@@ -227,39 +260,36 @@ def ratio_report(n_max: int, bits: int = DEFAULT_BITS,
                  unlabeled_base: list[int] | None = None) -> RatioReport:
     """Exact counts with their asymptotic and mutual ratios, for n = 1..n_max.
 
-    If ``unlabeled_base`` (unlabeled split counts s~_0..s~_m) is supplied,
-    unlabeled analogue rows are appended, including the observational
-    b~_n * n!/b_n column.  The chain's cap ``MAX_CHAIN_ORDER`` caps n_max.
+    ``bits`` is the starting precision of the two irrational columns; each
+    doubles as needed to settle its 17 printed digits.  If ``unlabeled_base``
+    (unlabeled split counts s~_0..s~_m) is supplied, unlabeled analogue rows
+    are appended, including the observational b~_n * n!/b_n column.  The
+    chain's cap ``MAX_CHAIN_ORDER`` caps n_max.
     """
-    import mpmath
-
-    check_size(bits, low=MIN_BITS, what="bits")
+    check_size(bits, low=MIN_BITS, high=MAX_BITS, what="bits")
     if unlabeled_base is not None:
         check_unlabeled_base(unlabeled_base)
     chain = derive_labeled_chain(max(check_size(n_max, what="n_max"), 8))
     u, s = chain["U"], chain["S"]
     report = RatioReport(bits=bits)
-    with mpmath.workprec(bits + 16):
-        for n in range(1, n_max + 1):
-            b_n = bicolored_labeled(n)
-            asym = asymptotic_bicolored(n, bits)
-            bound = mpmath.mpf(n * n) / mpmath.mpf(2) ** (mpmath.mpf(n + 1) / 2)
-            report.rows.append(RatioRow(
-                n=n,
-                b_ratio=+(mpmath.mpf(b_n) / asym),
-                s_over_b=+(mpmath.mpf(s[n]) / mpmath.mpf(b_n)),
-                u_over_s=+(mpmath.mpf(u[n]) / mpmath.mpf(s[n])),
-                bound=+bound,
-                bound_holds=_u_over_s_within_bound(u[n], s[n], n),
+    for n in range(1, n_max + 1):
+        b_n = bicolored_labeled(n)
+        report.rows.append(RatioRow(
+            n=n,
+            b_ratio=_b_ratio(n, b_n, bits),
+            s_over_b=_decimal(s[n], b_n),
+            u_over_s=_decimal(u[n], s[n]),
+            bound=_bound(n, bits),
+            bound_holds=_u_over_s_within_bound(u[n], s[n], n),
+        ))
+    if unlabeled_base is not None:
+        tilde = derive_unlabeled_chain(len(unlabeled_base) - 1, unlabeled_base)
+        for n in range(1, len(unlabeled_base)):
+            s_t, b_t, u_t = tilde["S"][n], tilde["BC"][n], tilde["U"][n]
+            report.unlabeled_rows.append(UnlabeledRatioRow(
+                n=n, s_tilde=s_t, b_tilde=b_t, u_tilde=u_t,
+                s_over_b=_decimal(s_t, b_t),
+                u_over_s=_decimal(u_t, s_t),
+                scaled_labeled=_decimal(b_t * factorial(n), bicolored_labeled(n)),
             ))
-        if unlabeled_base is not None:
-            tilde = derive_unlabeled_chain(len(unlabeled_base) - 1, unlabeled_base)
-            for n in range(1, len(unlabeled_base)):
-                s_t, b_t, u_t = tilde["S"][n], tilde["BC"][n], tilde["U"][n]
-                report.unlabeled_rows.append(UnlabeledRatioRow(
-                    n=n, s_tilde=s_t, b_tilde=b_t, u_tilde=u_t,
-                    s_over_b=+(mpmath.mpf(s_t) / b_t),
-                    u_over_s=+(mpmath.mpf(u_t) / s_t),
-                    scaled_labeled=+(mpmath.mpf(b_t) * factorial(n) / bicolored_labeled(n)),
-                ))
     return report

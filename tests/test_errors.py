@@ -8,7 +8,7 @@ are caller data, never an InternalError.
 import pytest
 
 from splitspecies import asymptotics, counting, enumeration, graphs, series, structure
-from splitspecies.asymptotics import MIN_BITS
+from splitspecies.asymptotics import MAX_BITS, MIN_BITS
 from splitspecies.counting import MAX_FORMULA_N
 from splitspecies.enumeration import CENSUS_MAX_N, SPLIT_MAX_N, ClassTag
 from splitspecies.errors import (
@@ -44,11 +44,11 @@ BOUNDARY = {
     "census-negative": (lambda: enumeration.class_census(-1), OutOfRange),
     "make-graph-negative": (lambda: graphs.make_graph(-1, []), OutOfRange),
     # precision below MIN_BITS
-    "c-constant-bits": (lambda: asymptotics.c_constant("even", MIN_BITS - 1), OutOfRange),
+    "theta-bits": (lambda: asymptotics.theta("even", MIN_BITS - 1), OutOfRange),
     "ratio-report-bits": (lambda: asymptotics.ratio_report(3, bits=MIN_BITS - 1), OutOfRange),
     # named choices
     "b-ratio-kind": (lambda: asymptotics.check_b_ratio(3, kind="x"), OutOfRange),
-    "c-constant-parity": (lambda: asymptotics.c_constant("both"), OutOfRange),
+    "theta-parity": (lambda: asymptotics.theta("both"), OutOfRange),
     "series-name": (lambda: series.named("E", series.EGF, 3), OutOfRange),
     "chain-count-key": (lambda: counting.chain_count("X", 3), OutOfRange),
     # each named cap at cap + 1
@@ -57,6 +57,8 @@ BOUNDARY = {
     "labeled-chain-cap": (lambda: series.derive_labeled_chain(MAX_CHAIN_ORDER + 1), TooLarge),
     "chain-count-cap": (lambda: counting.chain_count("S", MAX_CHAIN_ORDER + 1), TooLarge),
     "ratio-report-cap": (lambda: asymptotics.ratio_report(MAX_CHAIN_ORDER + 1), TooLarge),
+    "theta-bits-cap": (lambda: asymptotics.theta("odd", MAX_BITS + 1), TooLarge),
+    "ratio-report-bits-cap": (lambda: asymptotics.ratio_report(3, bits=MAX_BITS + 1), TooLarge),
     "u-over-s-cap": (lambda: asymptotics.u_over_s_bound_violations(MAX_CHAIN_ORDER + 1), TooLarge),
     "census-cap": (lambda: enumeration.class_census(CENSUS_MAX_N + 1), TooLarge),
     "count-labeled-census-cap": (
@@ -130,5 +132,6 @@ def test_sizes_at_the_bounds_still_work():
     assert counting.cross_check(0).ok
     assert asymptotics.check_b_ratio(0) == []
     assert asymptotics.ratio_report(0, bits=MIN_BITS).rows == []
+    assert asymptotics.ratio_report(2, bits=MAX_BITS).rows == asymptotics.ratio_report(2).rows
     assert len(series.derive_labeled_chain(0)["S"]) == 1
     assert graphs.make_graph(MAX_VERTICES, []).n == MAX_VERTICES
