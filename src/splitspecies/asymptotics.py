@@ -270,14 +270,13 @@ def ratio_report(n_max: int, bits: int = DEFAULT_BITS,
     if unlabeled_base is not None:
         check_unlabeled_base(unlabeled_base)
     chain = derive_labeled_chain(max(check_size(n_max, what="n_max"), 8))
-    u, s = chain["U"], chain["S"]
+    b, u, s = chain["BC"], chain["U"], chain["S"]
     report = RatioReport(bits=bits)
     for n in range(1, n_max + 1):
-        b_n = bicolored_labeled(n)
         report.rows.append(RatioRow(
             n=n,
-            b_ratio=_b_ratio(n, b_n, bits),
-            s_over_b=_decimal(s[n], b_n),
+            b_ratio=_b_ratio(n, b[n], bits),
+            s_over_b=_decimal(s[n], b[n]),
             u_over_s=_decimal(u[n], s[n]),
             bound=_bound(n, bits),
             bound_holds=_u_over_s_within_bound(u[n], s[n], n),

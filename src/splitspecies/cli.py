@@ -31,7 +31,7 @@ from .bijections import (
     uk_compose,
     uk_decompose,
 )
-from .enumeration import ClassTag, class_census, count_unlabeled, enumerate_labeled
+from .enumeration import ClassTag, count_labeled, count_unlabeled, enumerate_labeled
 from .errors import InternalError, SplitSpeciesError, check_size
 from .graphs import BicoloredGraph, Graph, TwoColoredGraph, load_file, load_graph
 from .structure import ColoredSplitGraph, classify_report, swing_report
@@ -153,32 +153,31 @@ def _identity_checks(max_n: int) -> list[dict]:
         checks.append({"check": name, "n": n, "expected": str(expected),
                        "got": str(got), "ok": expected == got})
 
-    censuses = [class_census(n) for n in range(max_n + 1)]
-    for n, c in enumerate(censuses):
-        lab, unl = c.labeled, c.unlabeled
-        add("labeled-split-partition", n, lab[ClassTag.SPLIT],
-            lab[ClassTag.BALANCED] + lab[ClassTag.UNBALANCED])
-        add("labeled-unbalanced-partition", n, lab[ClassTag.UNBALANCED],
-            lab[ClassTag.K_CANONICAL] + lab[ClassTag.S_CANONICAL] + lab[ClassTag.AMBIGUOUS])
-        add("labeled-uk-equals-us", n, lab[ClassTag.K_CANONICAL], lab[ClassTag.S_CANONICAL])
-        add("unlabeled-uk-equals-us", n, unl[ClassTag.K_CANONICAL], unl[ClassTag.S_CANONICAL])
-        add("labeled-split-formula", n, counting.split_labeled(n), lab[ClassTag.SPLIT])
-        add("labeled-bicolored-formula", n, counting.bicolored_labeled(n), lab[ClassTag.BICOLORED])
-        add("labeled-colored-equals-bicolored-star", n, lab[ClassTag.COLORED_SPLIT],
-            lab[ClassTag.BICOLORED_NO_ISOLATED_GREEN])
-        add("unlabeled-colored-equals-split", n, unl[ClassTag.COLORED_SPLIT], unl[ClassTag.SPLIT])
-        s_tilde = [censuses[k].unlabeled[ClassTag.SPLIT] for k in range(n + 1)]
-        add("unlabeled-unbalanced-partial-sums", n, sum(s_tilde[:-1]), unl[ClassTag.UNBALANCED])
-        add("unlabeled-bicolored-partial-sums", n, sum(s_tilde), unl[ClassTag.BICOLORED])
+    # each count builds only its class family; no check reads the unlabeled
+    # all-graphs count, the costliest one
+    T, lab, unl = ClassTag, count_labeled, count_unlabeled
+    for n in range(max_n + 1):
+        add("labeled-split-partition", n, lab(n, T.SPLIT),
+            lab(n, T.BALANCED) + lab(n, T.UNBALANCED))
+        add("labeled-unbalanced-partition", n, lab(n, T.UNBALANCED),
+            lab(n, T.K_CANONICAL) + lab(n, T.S_CANONICAL) + lab(n, T.AMBIGUOUS))
+        add("labeled-uk-equals-us", n, lab(n, T.K_CANONICAL), lab(n, T.S_CANONICAL))
+        add("unlabeled-uk-equals-us", n, unl(n, T.K_CANONICAL), unl(n, T.S_CANONICAL))
+        add("labeled-split-formula", n, counting.split_labeled(n), lab(n, T.SPLIT))
+        add("labeled-bicolored-formula", n, counting.bicolored_labeled(n), lab(n, T.BICOLORED))
+        add("labeled-colored-equals-bicolored-star", n, lab(n, T.COLORED_SPLIT),
+            lab(n, T.BICOLORED_NO_ISOLATED_GREEN))
+        add("unlabeled-colored-equals-split", n, unl(n, T.COLORED_SPLIT), unl(n, T.SPLIT))
+        s_tilde = [unl(k, T.SPLIT) for k in range(n + 1)]
+        add("unlabeled-unbalanced-partial-sums", n, sum(s_tilde[:-1]), unl(n, T.UNBALANCED))
+        add("unlabeled-bicolored-partial-sums", n, sum(s_tilde), unl(n, T.BICOLORED))
         if n >= 1:
             from math import comb
 
-            prev = censuses[n - 1].labeled
-            add("labeled-ambiguous-convolution", n, n * prev[ClassTag.BALANCED],
-                lab[ClassTag.AMBIGUOUS])
-            uk_conv = sum(comb(n, k) * censuses[n - k].labeled[ClassTag.COLORED_SPLIT]
-                          for k in range(2, n + 1))
-            add("labeled-k-canonical-convolution", n, uk_conv, lab[ClassTag.K_CANONICAL])
+            add("labeled-ambiguous-convolution", n, n * lab(n - 1, T.BALANCED),
+                lab(n, T.AMBIGUOUS))
+            uk_conv = sum(comb(n, k) * lab(n - k, T.COLORED_SPLIT) for k in range(2, n + 1))
+            add("labeled-k-canonical-convolution", n, uk_conv, lab(n, T.K_CANONICAL))
     return checks
 
 

@@ -138,37 +138,33 @@ def cross_check(max_n: int) -> CrossCheckReport:
         if direct != bp:
             mismatch("split-formula-agreement", n, direct, bp)
 
-    from .enumeration import ClassTag, class_census
+    from .enumeration import ClassTag, count_labeled as lab, count_unlabeled as unl
 
     chain = derive_labeled_chain(8)
     for n in range(0, min(max_n, 6) + 1):
-        census = class_census(n)
         checks = [
-            ("oracle-bicolored", bicolored_labeled(n), census.labeled[ClassTag.BICOLORED]),
-            ("oracle-split", split_labeled(n), census.labeled[ClassTag.SPLIT]),
-            ("oracle-unbalanced", chain["U"][n], census.labeled[ClassTag.UNBALANCED]),
-            ("oracle-balanced", chain["B"][n], census.labeled[ClassTag.BALANCED]),
-            ("oracle-split-series", chain["S"][n], census.labeled[ClassTag.SPLIT]),
-            ("oracle-colored-split", chain["cS"][n], census.labeled[ClassTag.COLORED_SPLIT]),
-            ("oracle-colored-equals-bicolored-star", census.labeled[ClassTag.COLORED_SPLIT],
-             census.labeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN]),
+            ("oracle-bicolored", bicolored_labeled(n), lab(n, ClassTag.BICOLORED)),
+            ("oracle-split", split_labeled(n), lab(n, ClassTag.SPLIT)),
+            ("oracle-unbalanced", chain["U"][n], lab(n, ClassTag.UNBALANCED)),
+            ("oracle-balanced", chain["B"][n], lab(n, ClassTag.BALANCED)),
+            ("oracle-split-series", chain["S"][n], lab(n, ClassTag.SPLIT)),
+            ("oracle-colored-split", chain["cS"][n], lab(n, ClassTag.COLORED_SPLIT)),
+            ("oracle-colored-equals-bicolored-star", lab(n, ClassTag.COLORED_SPLIT),
+             lab(n, ClassTag.BICOLORED_NO_ISOLATED_GREEN)),
         ]
         for kind, expected, got in checks:
             if expected != got:
                 mismatch(kind, n, expected, got)
 
     top = min(max_n, 7)
-    base = [class_census(n).unlabeled[ClassTag.SPLIT] for n in range(top + 1)]
+    base = [unl(n, ClassTag.SPLIT) for n in range(top + 1)]
     unlabeled = derive_unlabeled_chain(top, base)
     for n in range(0, top + 1):
-        census = class_census(n)
         checks = [
-            ("oracle-unlabeled-unbalanced", unlabeled["U"][n],
-             census.unlabeled[ClassTag.UNBALANCED]),
-            ("oracle-unlabeled-bicolored", unlabeled["BC"][n],
-             census.unlabeled[ClassTag.BICOLORED]),
-            ("oracle-unlabeled-colored-split", census.unlabeled[ClassTag.SPLIT],
-             census.unlabeled[ClassTag.COLORED_SPLIT]),
+            ("oracle-unlabeled-unbalanced", unlabeled["U"][n], unl(n, ClassTag.UNBALANCED)),
+            ("oracle-unlabeled-bicolored", unlabeled["BC"][n], unl(n, ClassTag.BICOLORED)),
+            ("oracle-unlabeled-colored-split", unl(n, ClassTag.SPLIT),
+             unl(n, ClassTag.COLORED_SPLIT)),
         ]
         for kind, expected, got in checks:
             if expected != got:

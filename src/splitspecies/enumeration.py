@@ -8,22 +8,26 @@ n = 7) gather the pairs of each graph: which words occur, and the union and
 intersection of their clique sides.  Those give the class: one partition is
 balanced, two ambiguous, three or more canonical (k-canonical when the
 largest clique side is unique, s-canonical otherwise).  Bicolored structures
-come from the same cross-edge expansion without the clique edges.  Unlabeled
-structures are counted by collapsing the labeled sweep into orbits under
-vertex relabeling.
+come from the same cross-edge expansion without the clique edges, and
+colored split graphs from it with the clique edges of the green side.
+
+Each count builds only its own class family, cached per size: all graphs;
+the split family (split graphs and their five classes); or one two-colored
+class.  ``class_census`` composes the families and cross-asserts them.
 
 The oracle never consults the series or the closed forms.  The tests check
 the generated split graphs against the Hammer-Simeone degree test and a
 subset scan, and the classes against the swing analysis of ``structure``.
 
 A labeled structure is one integer key, (edge word << n) | green mask, with
-green mask 0 for a plain graph.  Orbit counting flags words in a
-word-indexed table and, at each word not yet flagged, generates its whole
-orbit from a permutation table that packs the images of one edge bit under
-every relabeling into the lanes of one Python integer.  Each orbit is
-counted once, at its least word, which doubles as the canonical code.  A
+green mask 0 for a plain graph.  Unlabeled structures are counted as orbits
+under vertex relabeling.  Orbit counting takes a word-indexed table of
+flags and, at each word still flagged, generates its whole orbit from a
+permutation table that packs the images of one edge bit under every
+relabeling into the lanes of one Python integer.  Each orbit is counted
+once, at its least word, which doubles as the canonical code.  A
 two-colored orbit is counted among its members whose green set is 0..c-1,
-under the relabelings that fix that set.
+which are generated alone, under the relabelings that fix that set.
 
 Only the standard library is used: ``bytearray`` tables, ``array.array``
 results and integers as packed lanes.
@@ -39,7 +43,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BrokenInvariant, check_size
 from .graphs import BicoloredGraph, Graph, bits_of, edge_bit, edge_pairs
@@ -125,14 +129,19 @@ def _partitions(n: int) -> Iterator[tuple[int, list[int]]]:
         yield k, _cross_words(n, k, base=_clique_word(k))
 
 
-@lru_cache(maxsize=16)
-def _split_words(n: int) -> array:
-    """Ascending edge words of all split graphs on n vertices."""
+def _split_table(n: int) -> bytearray:
+    """Table indexed by edge word, 1 at the words of split graphs on n vertices."""
     seen = bytearray(1 << _edge_count(n))
     for _, words in _partitions(n):
         for w in words:
             seen[w] = 1
-    return array(_WORD, map(re.Match.start, re.finditer(b"\x01", seen)))
+    return seen
+
+
+@lru_cache(maxsize=16)
+def _split_words(n: int) -> array:
+    """Ascending edge words of all split graphs on n vertices."""
+    return array(_WORD, map(re.Match.start, re.finditer(b"\x01", _split_table(n))))
 
 
 class _SplitData(Record):
@@ -213,18 +222,23 @@ def _perm_tables(n: int, green: int) -> tuple[list[int], int]:
     return rows, len(perms) * _LANE_BYTES
 
 
-def _orbit_reps(keys: Sequence[int], table: tuple[list[int], int]) -> list[int]:
-    """Least word of each orbit among the edge words ``keys``, ascending.
+def _flag_table(n: int, words: Iterable[int]) -> bytearray:
+    """Table indexed by edge word on n vertices, 1 at each of ``words``."""
+    flags = bytearray(1 << _edge_count(n))
+    for w in words:
+        flags[w] = 1
+    return flags
 
-    ``table`` comes from ``_perm_tables``, and every image of a key under
-    its permutations must be a key too.  Keys are flagged in a table indexed
-    by word; the lowest flagged word starts an orbit, which unflags all of
-    its images.
+
+def _orbit_reps(flags: bytearray, table: tuple[list[int], int]) -> list[int]:
+    """Least word of each orbit among the words flagged in ``flags``, ascending.
+
+    ``flags`` is indexed by edge word and is used up.  ``table`` comes from
+    ``_perm_tables``, and every image of a flagged word under its
+    permutations must be flagged too.  The lowest flagged word starts an
+    orbit, which unflags all of its images.
     """
     rows, nbytes = table
-    flags = bytearray(1 << len(rows))
-    for w in keys:
-        flags[w] = 1
     reps = []
     w = flags.find(1)
     while w >= 0:
@@ -238,28 +252,23 @@ def _orbit_reps(keys: Sequence[int], table: tuple[list[int], int]) -> list[int]:
     return reps
 
 
-def _two_colored_orbits(n: int, keys: Sequence[int]) -> int:
-    """Number of orbits of two-colored structures given by their labeled keys.
+# ---------------------------------------------------------------------------
+# Two-colored structures
+# ---------------------------------------------------------------------------
 
-    Relabeling maps a structure with c green vertices onto one whose green
-    set is 0..c-1, and two such structures lie in one orbit iff a
-    relabeling fixing that set maps one onto the other.  So the orbits are
-    counted among those structures, under those relabelings, per c.
+def _green_words(n: int, green: int, tag: ClassTag) -> list[int]:
+    """Edge words of the structures of a two-colored class with green set ``green``.
+
+    A bicolored structure is any set of green-red edges; with no isolated
+    green vertex, a set that gives every green vertex an edge.  A colored
+    split graph is a split graph with an S-max partition, green its clique
+    side: the clique on the green set plus such a covering set, as a green
+    vertex with no red neighbour could join the stable side.
     """
-    full = (1 << n) - 1
-    prefixes = {(1 << c) - 1: [] for c in range(n + 1)}
-    for key in keys:
-        words = prefixes.get(key & full)
-        if words is not None:
-            words.append(key >> n)
-    # all n vertices green fix no more than none do: both take the whole group
-    return sum(len(_orbit_reps(words, _perm_tables(n, c if c < n else 0)))
-               for c, words in enumerate(prefixes.values()))
+    if tag is ClassTag.COLORED_SPLIT:
+        return _cross_words(n, green, cover=True, base=_clique_word(green))
+    return _cross_words(n, green, cover=tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN)
 
-
-# ---------------------------------------------------------------------------
-# Bicolored sweeps
-# ---------------------------------------------------------------------------
 
 def _bicolored_keys(n: int, no_isolated_green: bool) -> array:
     """Keys (edge word << n | green mask) of all bicolored structures.
@@ -289,6 +298,97 @@ def _colored_split_keys(n: int) -> array:
         else:
             keys.append((w << n) | (kmax & ~a))
     return keys
+
+
+# ---------------------------------------------------------------------------
+# Counts per class family
+# ---------------------------------------------------------------------------
+
+_SPLIT_TAGS = (ClassTag.SPLIT, *_CLASSIFIED_TAGS)
+
+
+def _require(ok: bool, n: int, kind: str, identity: str):
+    if not ok:
+        raise BrokenInvariant(f"{kind} census at n={n} breaks {identity}")
+
+
+def _assert_split_identities(n: int, kind: str, t: dict):
+    _require(t[ClassTag.SPLIT] == t[ClassTag.BALANCED] + t[ClassTag.UNBALANCED],
+             n, kind, "S = B + U")
+    _require(t[ClassTag.UNBALANCED] == (
+        t[ClassTag.K_CANONICAL] + t[ClassTag.S_CANONICAL] + t[ClassTag.AMBIGUOUS]
+    ), n, kind, "U = UK + US + Uamb")
+    _require(t[ClassTag.K_CANONICAL] == t[ClassTag.S_CANONICAL], n, kind, "UK = US")
+
+
+def _assert_colored_identity(n: int, lab: dict):
+    # colored split graphs in excess of split graphs all come from k-canonical ones
+    _require(lab[ClassTag.COLORED_SPLIT] - colored_kcanonical_labeled(n)
+             == lab[ClassTag.SPLIT] - lab[ClassTag.K_CANONICAL],
+             n, "labeled", "cS - cUK = S - UK")
+
+
+def _split_family(n: int, kind: str, classes: Sequence[int]) -> dict:
+    """Split family counts of one kind from the class codes of its members, checked."""
+    nclass = [classes.count(c) for c in range(4)]
+    counts = {
+        ClassTag.SPLIT: len(classes),
+        ClassTag.BALANCED: nclass[_BAL],
+        ClassTag.UNBALANCED: len(classes) - nclass[_BAL],
+        ClassTag.K_CANONICAL: nclass[_KCAN],
+        ClassTag.S_CANONICAL: nclass[_SCAN],
+        ClassTag.AMBIGUOUS: nclass[_AMB],
+    }
+    _assert_split_identities(n, kind, counts)
+    return counts
+
+
+@lru_cache(maxsize=16)
+def _split_labeled(n: int) -> dict:
+    return _split_family(n, "labeled", _split_data(n).classes)
+
+
+@lru_cache(maxsize=16)
+def _split_unlabeled(n: int) -> dict:
+    """Counted at the least word of each orbit, whose class is the orbit's."""
+    data = _split_data(n)
+    reps = _orbit_reps(_flag_table(n, data.words), _perm_tables(n, 0))
+    return _split_family(n, "unlabeled", [data.classes[bisect_left(data.words, w)] for w in reps])
+
+
+@lru_cache(maxsize=16)
+def _graph_orbits(n: int) -> int:
+    return len(_orbit_reps(bytearray(b"\x01") * (1 << _edge_count(n)), _perm_tables(n, 0)))
+
+
+@lru_cache(maxsize=32)
+def _two_colored_labeled(n: int, tag: ClassTag) -> int:
+    """Labeled count of one two-colored class.
+
+    Colored split graphs come from their own generator, one key per split
+    graph and S-max partition, so that they check the bicolored structures
+    with no isolated green vertex, which come from ``_green_words``.
+    """
+    if tag is ClassTag.COLORED_SPLIT:
+        count = len(_colored_split_keys(n))
+        _assert_colored_identity(n, {**_split_labeled(n), tag: count})
+        return count
+    return sum(len(_green_words(n, green, tag)) for green in range(1 << n))
+
+
+@lru_cache(maxsize=32)
+def _two_colored_unlabeled(n: int, tag: ClassTag) -> int:
+    """Number of orbits of one two-colored class.
+
+    Relabeling maps a structure with c green vertices onto one whose green
+    set is 0..c-1, and two such structures lie in one orbit iff a
+    relabeling fixing that set maps one onto the other.  So the orbits are
+    counted among those structures, under those relabelings, per c.
+    """
+    # all n vertices green fix no more than none do: both take the whole group
+    return sum(len(_orbit_reps(_flag_table(n, _green_words(n, (1 << c) - 1, tag)),
+                               _perm_tables(n, c if c < n else 0)))
+               for c in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -334,72 +434,20 @@ class Census(Record):
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=16)
 def class_census(n: int) -> Census:
-    """One pass over size n computing, and cross-asserting, every class count."""
+    """Every class count at size n, each read from its family, cross-asserted."""
     check_size(n, high=CENSUS_MAX_N)
-    data = _split_data(n)
-    table = _perm_tables(n, 0)
-
-    labeled = {}
-    unlabeled = {}
-    nclass = [data.classes.count(c) for c in range(4)]
-    labeled[ClassTag.SPLIT] = len(data.words)
-    labeled[ClassTag.BALANCED] = nclass[_BAL]
-    labeled[ClassTag.AMBIGUOUS] = nclass[_AMB]
-    labeled[ClassTag.K_CANONICAL] = nclass[_KCAN]
-    labeled[ClassTag.S_CANONICAL] = nclass[_SCAN]
-    labeled[ClassTag.UNBALANCED] = len(data.words) - nclass[_BAL]
-    labeled[ClassTag.ALL_GRAPHS] = 1 << _edge_count(n)
-
-    colored_keys = _colored_split_keys(n)
-    labeled[ClassTag.COLORED_SPLIT] = len(colored_keys)
-    bic_keys = _bicolored_keys(n, no_isolated_green=False)
-    bic_star_keys = _bicolored_keys(n, no_isolated_green=True)
-    labeled[ClassTag.BICOLORED] = len(bic_keys)
-    labeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN] = len(bic_star_keys)
-
-    # unlabeled graph classes: one orbit sweep over all words, one over split
-    unlabeled[ClassTag.ALL_GRAPHS] = len(_orbit_reps(range(1 << _edge_count(n)), table))
-
-    split_reps = _orbit_reps(data.words, table)
-    rep_classes = [data.classes[bisect_left(data.words, w)] for w in split_reps]
-    cls_counts = [rep_classes.count(c) for c in range(4)]
-    unlabeled[ClassTag.SPLIT] = len(split_reps)
-    unlabeled[ClassTag.BALANCED] = cls_counts[_BAL]
-    unlabeled[ClassTag.AMBIGUOUS] = cls_counts[_AMB]
-    unlabeled[ClassTag.K_CANONICAL] = cls_counts[_KCAN]
-    unlabeled[ClassTag.S_CANONICAL] = cls_counts[_SCAN]
-    unlabeled[ClassTag.UNBALANCED] = len(split_reps) - cls_counts[_BAL]
-
-    unlabeled[ClassTag.COLORED_SPLIT] = _two_colored_orbits(n, colored_keys)
-    unlabeled[ClassTag.BICOLORED] = _two_colored_orbits(n, bic_keys)
-    unlabeled[ClassTag.BICOLORED_NO_ISOLATED_GREEN] = _two_colored_orbits(n, bic_star_keys)
-
-    census = Census(n, labeled, unlabeled)
+    census = Census(n, {t: count_labeled(n, t) for t in _CENSUS_ORDER},
+                    {t: count_unlabeled(n, t) for t in _CENSUS_ORDER})
     _assert_census_identities(census)
     return census
 
 
 def _assert_census_identities(c: Census):
-    """Internal consistency of the one-pass census, checked on every build."""
-    def require(ok: bool, kind: str, identity: str):
-        if not ok:
-            raise BrokenInvariant(f"{kind} census at n={c.n} breaks {identity}")
-
+    """Internal consistency of a composed census, checked on every build."""
     for kind, t in (("labeled", c.labeled), ("unlabeled", c.unlabeled)):
-        require(t[ClassTag.SPLIT] == t[ClassTag.BALANCED] + t[ClassTag.UNBALANCED],
-                kind, "S = B + U")
-        require(t[ClassTag.UNBALANCED] == (
-            t[ClassTag.K_CANONICAL] + t[ClassTag.S_CANONICAL] + t[ClassTag.AMBIGUOUS]
-        ), kind, "U = UK + US + Uamb")
-        require(t[ClassTag.K_CANONICAL] == t[ClassTag.S_CANONICAL], kind, "UK = US")
-    # colored split graphs in excess of split graphs all come from k-canonical ones:
-    # cS - cUK = S - UK
-    lab = c.labeled
-    cuk = colored_kcanonical_labeled(c.n)
-    require(lab[ClassTag.COLORED_SPLIT] - cuk == lab[ClassTag.SPLIT] - lab[ClassTag.K_CANONICAL],
-            "labeled", "cS - cUK = S - UK")
+        _assert_split_identities(c.n, kind, t)
+    _assert_colored_identity(c.n, c.labeled)
 
 
 def colored_kcanonical_labeled(n: int) -> int:
@@ -453,17 +501,23 @@ def count_labeled(n: int, tag: ClassTag) -> int:
     _check_limit(n, tag)
     if tag is ClassTag.ALL_GRAPHS:
         return 1 << _edge_count(n)
-    if tag is ClassTag.SPLIT:
-        return len(_split_words(n))
-    return class_census(n).labeled[tag]
+    if n > CENSUS_MAX_N:  # split only, per _check_limit
+        return _split_table(n).count(1)
+    if tag in _SPLIT_TAGS:
+        return _split_labeled(n)[tag]
+    return _two_colored_labeled(n, tag)
 
 
 def count_unlabeled(n: int, tag: ClassTag) -> int:
     """Number of isomorphism classes (color-preserving for colored classes)."""
     _check_limit(n, tag, unlabeled=True)
     if n > CENSUS_MAX_N:  # split only, per _check_limit
-        return len(_orbit_reps(_split_words(n), _perm_tables(n, 0)))
-    return class_census(n).unlabeled[tag]
+        return len(_orbit_reps(_split_table(n), _perm_tables(n, 0)))
+    if tag is ClassTag.ALL_GRAPHS:
+        return _graph_orbits(n)
+    if tag in _SPLIT_TAGS:
+        return _split_unlabeled(n)[tag]
+    return _two_colored_unlabeled(n, tag)
 
 
 def write_census_files(directory: str, max_n: int = 7):

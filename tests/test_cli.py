@@ -180,6 +180,23 @@ def test_asym_output_is_pinned(capsys, fmt, unlabeled):
     assert hashlib.sha256(out.encode()).hexdigest() == ASYM_SHA256[fmt, unlabeled]
 
 
+# sha256 of the stdout of ``verify --suite identities --max-n 7``, as printed
+# when every count was read from a whole census
+VERIFY_SHA256 = {
+    "text": "91196f25711f0f2c66d82dce8d839c4236006c81a2eb92a9c78d696ce56ac3a8",
+    "json": "942583886446063bebe93a8e4b63969f48e4276681b1a7227053c5e105751dbb",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_SHA256))
+def test_verify_identities_output_is_pinned(capsys, fmt):
+    """Byte-for-byte identity battery output: every check, value and order."""
+    code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "7",
+                           "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[fmt]
+
+
 def test_classify_split_graph(capsys, tmp_path):
     path = write_graph(tmp_path, "p4.g", "4\n0 1\n1 2\n2 3\n")
     code, out, _ = run_cli(capsys, "classify", "--graph", path)

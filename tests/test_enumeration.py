@@ -199,6 +199,91 @@ def test_broken_census_identity_raises_internal_error(census7, kind):
         _assert_census_identities(broken)
 
 
+@pytest.fixture
+def cold_caches():
+    """Every enumeration cache empty when the test starts, and again after it."""
+    from splitspecies import enumeration
+
+    caches = [f for f in vars(enumeration).values() if hasattr(f, "cache_clear")]
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["labeled", "unlabeled"])
+@pytest.mark.parametrize("tag", list(ClassTag), ids=lambda t: t.value)
+@pytest.mark.parametrize("n", range(0, 8))
+def test_first_count_of_a_cold_family_matches_golden(cold_caches, n, tag, kind):
+    with open(os.path.join(TESTDATA, f"census-n{n}.json")) as f:
+        golden = getattr(Census.from_json(json.load(f)), kind)
+    count = count_labeled if kind == "labeled" else count_unlabeled
+    assert count(n, tag) == golden[tag]
+
+
+_FAMILY_STAGES = ("_graph_orbits", "_split_data", "_split_unlabeled", "_two_colored_unlabeled")
+TWO_COLORED = (ClassTag.COLORED_SPLIT, ClassTag.BICOLORED, ClassTag.BICOLORED_NO_ISOLATED_GREEN)
+
+
+@pytest.mark.parametrize("tag", list(ClassTag), ids=lambda t: t.value)
+def test_an_unlabeled_count_builds_only_its_family(cold_caches, tag):
+    from splitspecies import enumeration
+
+    count_unlabeled(6, tag)
+    built = {name for name in _FAMILY_STAGES
+             if getattr(enumeration, name).cache_info().currsize}
+    if tag is ClassTag.ALL_GRAPHS:
+        assert built == {"_graph_orbits"}
+    elif tag in TWO_COLORED:
+        assert built == {"_two_colored_unlabeled"}
+    else:
+        assert built == {"_split_data", "_split_unlabeled"}
+
+
+@pytest.mark.parametrize("tag", TWO_COLORED, ids=lambda t: t.value)
+@pytest.mark.parametrize("n", range(0, 7))
+def test_green_words_are_the_keys_with_a_prefix_green_set(n, tag):
+    """The unlabeled two-colored counts generate only these structures."""
+    from splitspecies.enumeration import _bicolored_keys, _colored_split_keys, _green_words
+
+    if tag is ClassTag.COLORED_SPLIT:
+        keys = _colored_split_keys(n)
+    else:
+        keys = _bicolored_keys(n, tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN)
+    full = (1 << n) - 1
+    for c in range(n + 1):
+        green = (1 << c) - 1
+        expected = sorted(key >> n for key in keys if key & full == green)
+        assert sorted(_green_words(n, green, tag)) == expected, c
+
+
+def test_corrupted_split_classes_break_the_unlabeled_count(cold_caches, monkeypatch):
+    from array import array
+
+    from splitspecies import enumeration
+    from splitspecies.errors import BrokenInvariant
+
+    good = enumeration._split_data(5)
+    # every s-canonical graph recorded as k-canonical
+    classes = array("B", [enumeration._KCAN if c == enumeration._SCAN else c
+                          for c in good.classes])
+    broken = enumeration._SplitData(good.words, classes, good.swings, good.kmax)
+    monkeypatch.setattr(enumeration, "_split_data", lambda n: broken)
+    with pytest.raises(BrokenInvariant, match="unlabeled census at n=5 breaks UK = US"):
+        count_unlabeled(5, ClassTag.K_CANONICAL)
+
+
+def test_corrupted_colored_keys_break_the_labeled_count(cold_caches, monkeypatch):
+    from splitspecies import enumeration
+    from splitspecies.errors import BrokenInvariant
+
+    keys = enumeration._colored_split_keys(5)
+    monkeypatch.setattr(enumeration, "_colored_split_keys", lambda n: keys[1:])
+    with pytest.raises(BrokenInvariant, match="labeled census at n=5 breaks cS - cUK = S - UK"):
+        count_labeled(5, ClassTag.COLORED_SPLIT)
+
+
 def test_census_serialization_round_trip(census7):
     c = census7[5]
     assert Census.from_json(c.to_json()) == c

@@ -2,9 +2,9 @@
 
 These exercise the widest supported sizes: the n = 8 split census
 (5,843,954 labeled graphs generated from their 8.5 million clique/stable
-partitions in a 256 MB table indexed by edge word, then 557 orbits; about
-6 s and 300 MB peak RSS on a 2-core x86-64 VM) and the full formula
-agreement through the command line (about 12 s there).
+partitions in a 256 MB table indexed by edge word, then 557 orbits read off
+that same table; about 2 s and 310 MB peak RSS on a 2-core x86-64 VM) and
+the full formula agreement through the command line (about 4 s there).
 """
 
 import json
