@@ -27,7 +27,7 @@ from .record import Record
 from .series import check_unlabeled_base, derive_labeled_chain, derive_unlabeled_chain
 
 DEFAULT_BITS = 256
-MIN_BITS = 64  # least starting precision of the irrational report columns
+MIN_BITS = 64  # least precision; the irrational report columns start at it
 MAX_BITS = 1 << 16  # most precision: bracket sizes and times grow with it
 
 
@@ -161,11 +161,13 @@ def _decimal(num: int, den: int) -> str:
     return (text + "0" if text.endswith(".") else text) + exponent
 
 
-def _bracketed(ends, bits: int) -> str:
+def _bracketed(ends) -> str:
     """Print the real number between the fractions (num, den) that ``ends(p)``
     gives at p bits.  Printing is monotone, so once both ends print alike, so
-    does the number; until then the precision doubles, up to MAX_BITS.
+    does the number; until then the precision doubles from MIN_BITS, up to
+    MAX_BITS.
     """
+    bits = MIN_BITS
     while True:
         low, high = (_decimal(num, den) for num, den in ends(bits))
         if low == high:
@@ -175,15 +177,15 @@ def _bracketed(ends, bits: int) -> str:
         bits = min(2 * bits, MAX_BITS)
 
 
-def _b_ratio(n: int, b_n: int, bits: int) -> str:
-    """b_n / asymptotic(n), from one ``asymptotic_bicolored`` call at ``bits``."""
+def _b_ratio(n: int, b_n: int) -> str:
+    """b_n / asymptotic(n), from one ``asymptotic_bicolored`` call per precision."""
     def ends(p):
         lo, hi = asymptotic_bicolored(n, p)
         return (b_n << p, hi), (b_n << p, lo)
-    return _bracketed(ends, bits)
+    return _bracketed(ends)
 
 
-def _bound(n: int, bits: int) -> str:
+def _bound(n: int) -> str:
     """n^2 / 2^{(n+1)/2}: exact at odd n, n^2 sqrt(2) / 2^{n/2+1} at even n."""
     if n % 2:
         return _decimal(n * n, 1 << (n + 1) // 2)
@@ -192,7 +194,7 @@ def _bound(n: int, bits: int) -> str:
         root = isqrt(2 << 2 * p)  # root <= 2^p sqrt(2) < root + 1
         den = 1 << (n // 2 + 1 + p)
         return (n * n * root, den), (n * n * (root + 1), den)
-    return _bracketed(ends, bits)
+    return _bracketed(ends)
 
 
 class RatioRow(Record):
@@ -233,17 +235,14 @@ class UnlabeledRatioRow(Record):
 class RatioReport(Record):
     """The rows of ``ratio_report``, labeled and (optionally) unlabeled."""
 
-    __slots__ = _fields = ("bits", "rows", "unlabeled_rows")
+    __slots__ = _fields = ("rows", "unlabeled_rows")
 
-    def __init__(self, bits: int, rows: list[RatioRow] | None = None,
-                 unlabeled_rows: list[UnlabeledRatioRow] | None = None):
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "rows", [] if rows is None else rows)
-        object.__setattr__(self, "unlabeled_rows", [] if unlabeled_rows is None else unlabeled_rows)
+    def __init__(self, rows: list[RatioRow], unlabeled_rows: list[UnlabeledRatioRow]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "unlabeled_rows", unlabeled_rows)
 
     def to_json(self) -> dict:
-        return {"bits": self.bits,
-                "rows": [dict(zip(r._fields, r._values)) for r in self.rows],
+        return {"rows": [dict(zip(r._fields, r._values)) for r in self.rows],
                 "unlabeled_rows": [dict(zip(r._fields, r._values)) for r in self.unlabeled_rows]}
 
     def to_csv(self) -> str:
@@ -256,39 +255,32 @@ class RatioReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def ratio_report(n_max: int, bits: int = DEFAULT_BITS,
-                 unlabeled_base: list[int] | None = None) -> RatioReport:
+def ratio_report(n_max: int, unlabeled_base: list[int] | None = None) -> RatioReport:
     """Exact counts with their asymptotic and mutual ratios, for n = 1..n_max.
 
-    ``bits`` is the starting precision of the two irrational columns; each
+    The two irrational columns start at MIN_BITS of precision, and each
     doubles as needed to settle its 17 printed digits.  If ``unlabeled_base``
     (unlabeled split counts s~_0..s~_m) is supplied, unlabeled analogue rows
-    are appended, including the observational b~_n * n!/b_n column.  The
-    chain's cap ``MAX_CHAIN_ORDER`` caps n_max.
+    follow, including the observational b~_n * n!/b_n column.  The chain's
+    cap ``MAX_CHAIN_ORDER`` caps n_max.
     """
-    check_size(bits, low=MIN_BITS, high=MAX_BITS, what="bits")
     if unlabeled_base is not None:
         check_unlabeled_base(unlabeled_base)
     chain = derive_labeled_chain(max(check_size(n_max, what="n_max"), 8))
     b, u, s = chain["BC"], chain["U"], chain["S"]
-    report = RatioReport(bits=bits)
-    for n in range(1, n_max + 1):
-        report.rows.append(RatioRow(
-            n=n,
-            b_ratio=_b_ratio(n, b[n], bits),
-            s_over_b=_decimal(s[n], b[n]),
-            u_over_s=_decimal(u[n], s[n]),
-            bound=_bound(n, bits),
-            bound_holds=_u_over_s_within_bound(u[n], s[n], n),
-        ))
+    rows = [RatioRow(n=n, b_ratio=_b_ratio(n, b[n]), s_over_b=_decimal(s[n], b[n]),
+                     u_over_s=_decimal(u[n], s[n]), bound=_bound(n),
+                     bound_holds=_u_over_s_within_bound(u[n], s[n], n))
+            for n in range(1, n_max + 1)]
+    unlabeled_rows = []
     if unlabeled_base is not None:
         tilde = derive_unlabeled_chain(len(unlabeled_base) - 1, unlabeled_base)
         for n in range(1, len(unlabeled_base)):
             s_t, b_t, u_t = tilde["S"][n], tilde["BC"][n], tilde["U"][n]
-            report.unlabeled_rows.append(UnlabeledRatioRow(
+            unlabeled_rows.append(UnlabeledRatioRow(
                 n=n, s_tilde=s_t, b_tilde=b_t, u_tilde=u_t,
                 s_over_b=_decimal(s_t, b_t),
                 u_over_s=_decimal(u_t, s_t),
                 scaled_labeled=_decimal(b_t * factorial(n), bicolored_labeled(n)),
             ))
-    return report
+    return RatioReport(rows, unlabeled_rows)

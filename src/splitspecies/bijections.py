@@ -35,7 +35,7 @@ from .errors import (
     TooSmall,
     WrongClass,
 )
-from .graphs import MAX_VERTICES, BicoloredGraph, Graph, bits_of, mask_of, relabel
+from .graphs import MAX_VERTICES, BicoloredGraph, Graph, bits_of, mask_of
 from .record import Record
 from .structure import (
     ColoredSplitGraph,
@@ -79,15 +79,13 @@ class EmbeddedGraph(Record):
         object.__setattr__(self, "core", core)
 
     def relabeled(self, p: Sequence[int]) -> "EmbeddedGraph":
-        labels, q = _label_map(self.labels, p)
-        return EmbeddedGraph(labels, relabel(self.core, q))
+        images = [p[l] for l in self.labels]
+        labels = tuple(sorted(images))
+        return EmbeddedGraph(labels, _graph_on(labels, _outer_edges(images, self.core)))
 
     def to_json(self) -> dict:
-        lab = self.labels
-        return {
-            "labels": list(lab),
-            "edges": [[lab[i], lab[j]] for i, j in self.core.edges()],
-        }
+        return {"labels": list(self.labels),
+                "edges": [list(e) for e in _outer_edges(self.labels, self.core)]}
 
     @classmethod
     def whole(cls, g: Graph) -> "EmbeddedGraph":
@@ -111,20 +109,15 @@ class EmbeddedColored(Record):
         return tuple(self.labels[v] for v in self.core.red)
 
     def relabeled(self, p: Sequence[int]) -> "EmbeddedColored":
-        labels, q = _label_map(self.labels, p)
-        g = relabel(self.core.graph, q)
-        green = tuple(sorted(q[v] for v in self.core.green))
-        red = tuple(sorted(q[v] for v in self.core.red))
-        return EmbeddedColored(labels, ColoredSplitGraph(g, green, red))
+        images = [p[l] for l in self.labels]
+        labels = tuple(sorted(images))
+        g = _graph_on(labels, _outer_edges(images, self.core.graph))
+        return _colored_on(labels, g, mask_of(images[v] for v in self.core.green))
 
     def to_json(self) -> dict:
-        lab = self.labels
-        return {
-            "labels": list(lab),
-            "edges": [[lab[i], lab[j]] for i, j in self.core.graph.edges()],
-            "green": list(self.green_labels()),
-            "red": list(self.red_labels()),
-        }
+        return {"labels": list(self.labels),
+                "edges": [list(e) for e in _outer_edges(self.labels, self.core.graph)],
+                "green": list(self.green_labels()), "red": list(self.red_labels())}
 
     @classmethod
     def whole(cls, c: ColoredSplitGraph) -> "EmbeddedColored":
@@ -141,12 +134,30 @@ def _check_labels(labels: tuple[int, ...], n: int | None = None):
         raise OutOfRange(f"labels must lie in 0..{MAX_VERTICES - 1}, got {labels}")
 
 
-def _label_map(labels: tuple[int, ...], p: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
-    """New sorted label tuple plus the induced permutation of core vertices."""
-    imgs = [p[l] for l in labels]
-    new_labels = tuple(sorted(imgs))
-    rank = {lab: r for r, lab in enumerate(new_labels)}
-    return new_labels, [rank[img] for img in imgs]
+def _graph_on(labels: tuple[int, ...], edges: Iterable[tuple[int, int]]) -> Graph:
+    """The graph on the sorted labels whose vertex i is ``labels[i]``, with
+    ``edges`` given between labels.  The labels are checked first, so a
+    relabeling that merges labels or leaves 0..15 fails before any coloring."""
+    _check_labels(labels)
+    rank = {lab: r for r, lab in enumerate(labels)}
+    rows = [0] * len(labels)
+    for u, v in edges:
+        u, v = rank[u], rank[v]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(len(labels), tuple(rows))
+
+
+def _colored_on(labels: tuple[int, ...], core: Graph, green_mask: int) -> EmbeddedColored:
+    """``core`` on ``labels``, colored: the labels in ``green_mask`` green, the rest red."""
+    green = tuple(r for r, lab in enumerate(labels) if green_mask >> lab & 1)
+    red = tuple(r for r, lab in enumerate(labels) if not green_mask >> lab & 1)
+    return EmbeddedColored(labels, ColoredSplitGraph(core, green, red))
+
+
+def _outer_edges(labels: Sequence[int], core: Graph) -> list[tuple[int, int]]:
+    """The edges of ``core`` between the labels of their ends."""
+    return [(labels[i], labels[j]) for i, j in core.edges()]
 
 
 def _as_embedded_colored(c) -> EmbeddedColored:
@@ -185,12 +196,8 @@ def uk_decompose(g: Graph) -> tuple[tuple[int, ...], EmbeddedColored]:
     rep = swing_report(g)
     if classify_report(rep) is not SplitClass.K_CANONICAL:
         raise WrongClass("uk_decompose requires a k-canonical graph")
-    a_mask = rep.swing_mask()
-    labels, sub = _induced(g, g.vertex_mask() ^ a_mask)
-    rank = {lab: r for r, lab in enumerate(labels)}
-    green = tuple(sorted(rank[v] for v in rep.y))
-    red = tuple(sorted(rank[v] for v in rep.z))
-    return rep.swings, EmbeddedColored(labels, ColoredSplitGraph(sub, green, red))
+    labels, sub = _induced(g, g.vertex_mask() ^ rep.swing_mask())
+    return rep.swings, _colored_on(labels, sub, mask_of(rep.y))
 
 
 def uk_compose(a: Iterable[int], rest) -> EmbeddedGraph:
@@ -208,23 +215,10 @@ def uk_compose(a: Iterable[int], rest) -> EmbeddedGraph:
     if a_mask & mask_of(rest.labels):
         raise LabelClash(f"labels {bits_of(a_mask & mask_of(rest.labels))} appear on both sides")
     labels = tuple(sorted(a_tuple + rest.labels))
-    rank = {lab: r for r, lab in enumerate(labels)}
-    rows = [0] * len(labels)
-
-    def add_edge(u: int, v: int):
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-
-    for i, j in rest.core.graph.edges():
-        add_edge(rank[rest.labels[i]], rank[rest.labels[j]])
-    a_internal = [rank[v] for v in a_tuple]
-    for idx, u in enumerate(a_internal):
-        for v in a_internal[idx + 1:]:
-            add_edge(u, v)
-    for green_label in rest.green_labels():
-        for u in a_internal:
-            add_edge(u, rank[green_label])
-    return EmbeddedGraph(labels, Graph(len(labels), tuple(rows)))
+    edges = _outer_edges(rest.labels, rest.core.graph)
+    ends = a_tuple + rest.green_labels()  # A is a clique joined to every green vertex
+    edges += [(u, v) for i, u in enumerate(a_tuple) for v in ends[i + 1:]]
+    return EmbeddedGraph(labels, _graph_on(labels, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +252,9 @@ def amb_compose(a: int, h) -> EmbeddedGraph:
     if classify_report(rep) is not SplitClass.BALANCED:
         raise WrongClass("amb_compose requires a balanced graph")
     labels = tuple(sorted(h.labels + (a,)))
-    rank = {lab: r for r, lab in enumerate(labels)}
-    rows = [0] * len(labels)
-    for i, j in h.core.edges():
-        u, v = rank[h.labels[i]], rank[h.labels[j]]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    ai = rank[a]
-    for y in rep.y:  # the clique side of the unique partition
-        u = rank[h.labels[y]]
-        rows[ai] |= 1 << u
-        rows[u] |= 1 << ai
-    return EmbeddedGraph(labels, Graph(len(labels), tuple(rows)))
+    edges = _outer_edges(h.labels, h.core)
+    edges += [(a, h.labels[y]) for y in rep.y]  # the clique side of the unique partition
+    return EmbeddedGraph(labels, _graph_on(labels, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +278,9 @@ def cuk_decompose(c) -> tuple[PointedSet, EmbeddedColored]:
         raise BrokenInvariant("an S-max coloring has exactly one red swing vertex")
     point_internal = red_swings.bit_length() - 1
     ps = PointedSet(tuple(c.labels[v] for v in rep.swings), c.labels[point_internal])
-    keep = core.graph.vertex_mask() ^ a_mask
-    sub_labels, sub = _induced(core.graph, keep)
-    rank = {lab: r for r, lab in enumerate(sub_labels)}
-    green = tuple(sorted(rank[v] for v in core.green if (1 << v) & keep))
-    red = tuple(sorted(rank[v] for v in core.red if (1 << v) & keep))
+    sub_labels, sub = _induced(core.graph, core.graph.vertex_mask() ^ a_mask)
     outer = tuple(c.labels[l] for l in sub_labels)
-    return ps, EmbeddedColored(outer, ColoredSplitGraph(sub, green, red))
+    return ps, _colored_on(outer, sub, mask_of(c.green_labels()))
 
 
 def cuk_compose(ps: PointedSet, rest) -> EmbeddedColored:
@@ -310,13 +291,8 @@ def cuk_compose(ps: PointedSet, rest) -> EmbeddedColored:
     """
     rest = _as_embedded_colored(rest)
     composed = uk_compose(ps.elements, rest)
-    rank = {lab: r for r, lab in enumerate(composed.labels)}
-    green = set(rank[v] for v in ps.elements if v != ps.point)
-    green.update(rank[v] for v in rest.green_labels())
-    red = {rank[ps.point]}
-    red.update(rank[v] for v in rest.red_labels())
-    colored = ColoredSplitGraph(composed.core, tuple(sorted(green)), tuple(sorted(red)))
-    return EmbeddedColored(composed.labels, colored)
+    green = (mask_of(ps.elements) ^ 1 << ps.point) | mask_of(rest.green_labels())
+    return _colored_on(composed.labels, composed.core, green)
 
 
 # ---------------------------------------------------------------------------

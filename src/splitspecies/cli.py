@@ -49,7 +49,7 @@ _CHAIN_KEYS = {
 
 def _labeled_counts(tag: ClassTag, ns) -> dict[int, int]:
     if tag in _CHAIN_KEYS:  # one chain, built at the largest size asked for
-        counts = counting.chain_count(_CHAIN_KEYS[tag], max(ns), upto=True) if ns else []
+        counts = counting.chain_count(_CHAIN_KEYS[tag], max(ns), upto=True)
         return {n: counts[n] for n in ns}
     if tag is ClassTag.SPLIT:
         return {n: counting.split_labeled(n) for n in ns}
@@ -298,7 +298,7 @@ def _cmd_asym(args) -> int:
     base = None
     if args.unlabeled_base:  # ratio_report checks the values
         base = load_file(args.unlabeled_base, lambda text: json.loads(text)["values"])
-    report = ratio_report(args.max_n, bits=args.bits, unlabeled_base=base)
+    report = ratio_report(args.max_n, unlabeled_base=base)
     if args.format == "json":
         _emit_json(report.to_json())
     else:
@@ -358,9 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym", help="emit the asymptotic ratio report")
     p.add_argument("--max-n", type=int, default=200)
-    p.add_argument("--bits", type=int, default=256,
-                   help="starting precision of the irrational columns, 64..65536; "
-                        "it doubles as needed and changes no printed digit")
     p.add_argument("--unlabeled-base", help="JSON file with unlabeled split counts")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_asym)

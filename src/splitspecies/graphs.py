@@ -201,15 +201,8 @@ def canonical_code_bicolored(b: "BicoloredGraph") -> bytes:
     g = b.graph
     check_size(g.n, high=CANON_MAX_VERTICES, what="vertex count")
     nbits = g.n * (g.n - 1) // 2
-    best = None
-    for p in itertools.permutations(range(g.n)):
-        word = _permuted_word(g, p)
-        gm = 0
-        for v in b.green:
-            gm |= 1 << p[v]
-        key = (gm << nbits) | word
-        if best is None or key < best:
-            best = key
+    best = min((mask_of(p[v] for v in b.green) << nbits) | _permuted_word(g, p)
+               for p in itertools.permutations(range(g.n)))
     return b"B" + bytes([g.n]) + best.to_bytes(5, "big")
 
 

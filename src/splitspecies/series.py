@@ -31,8 +31,6 @@ named atoms are their independent check; no production path builds one.
 from __future__ import annotations
 
 import enum
-import sys
-from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 from typing import Sequence
@@ -52,22 +50,22 @@ EGF = "egf"
 OGF = "ogf"
 
 
+_LIMB = 10**600  # a limb prints in 600 digits, under any int-to-str digit cap (>= 640)
+
+
 def decimal(value: int) -> str:
     """Decimal string of an arbitrarily large integer.
 
     Chain coefficients reach tens of thousands of digits, past the
-    interpreter's int-to-str digit cap; the cap is lifted for this one
-    conversion and then restored.
+    interpreter's int-to-str digit cap, so the value prints in base-10^600
+    limbs; no process-wide setting changes.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:  # interpreters without the cap
-        return str(value)
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    sign, value = ("-", -value) if value < 0 else ("", value)
+    limbs = []
+    while value >= _LIMB:
+        value, limb = divmod(value, _LIMB)
+        limbs.append(limb)
+    return sign + str(value) + "".join(f"{limb:0600d}" for limb in reversed(limbs))
 
 
 class SeriesName(enum.Enum):
@@ -119,6 +117,8 @@ class RationalSeries(Record):
         return RationalSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), a.convention)
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
+        from fractions import Fraction
+
         a, b = _aligned(self, other)
         n = a.order
         out = [Fraction(0)] * (n + 1)
@@ -155,6 +155,8 @@ def _aligned(a: RationalSeries, b: RationalSeries) -> tuple[RationalSeries, Rati
 
 
 def from_fractions(values: Sequence, convention: str) -> RationalSeries:
+    from fractions import Fraction
+
     return RationalSeries(tuple(Fraction(v) for v in values), convention)
 
 
@@ -164,6 +166,8 @@ def constant(value, convention: str, order: int) -> RationalSeries:
 
 def monomial(convention: str, order: int) -> RationalSeries:
     """The series x."""
+    from fractions import Fraction
+
     coeffs = [Fraction(0)] * (order + 1)
     if order >= 1:
         coeffs[1] = Fraction(1)
@@ -183,6 +187,8 @@ def convert(s: RationalSeries, to_convention: str) -> RationalSeries:
 
 def named(name: SeriesName, convention: str, order: int) -> RationalSeries:
     """The named atomic series, truncated at the given order."""
+    from fractions import Fraction
+
     if name is SeriesName.E:
         return from_fractions([Fraction(1, factorial(i)) for i in range(order + 1)], convention)
     if name is SeriesName.X:

@@ -177,20 +177,12 @@ def swing_report(g: Graph) -> SwingReport:
         km, sm = p.k_mask(), p.s_mask()
         always_k &= km
         always_s &= sm
-        t = km
-        while t:  # movable K -> S: no neighbor inside S
-            b = t & -t
-            v = b.bit_length() - 1
-            t ^= b
+        for v in p.k:  # movable K -> S: no neighbor inside S
             if g.rows[v] & sm == 0:
-                swings |= b
-        t = sm
-        while t:  # movable S -> K: adjacent to all of K
-            b = t & -t
-            v = b.bit_length() - 1
-            t ^= b
+                swings |= 1 << v
+        for v in p.s:  # movable S -> K: adjacent to all of K
             if g.rows[v] & km == km:
-                swings |= b
+                swings |= 1 << v
     y = always_k & ~swings
     z = always_s & ~swings
     count = swings.bit_count()

@@ -227,12 +227,16 @@ def test_decimal_prints_like_mpmath_nstr_17(num, den):
 
 
 def test_precision_doubles_until_the_bracket_settles():
-    """At 64 bits the b_ratio bracket at n = 79 straddles a 17-digit rounding
-    boundary; the report doubles the precision and prints the 256-bit digits."""
+    """At 64 bits, where the report starts, the b_ratio bracket at n = 79
+    straddles a 17-digit rounding boundary; the report doubles the precision
+    and prints the 256-bit digits."""
+    b = bicolored_labeled(79)
     lo, hi = asymptotic_bicolored(79, MIN_BITS)
-    b = bicolored_labeled(79) << MIN_BITS
-    assert _decimal(b, hi) != _decimal(b, lo)
-    assert ratio_report(79, bits=MIN_BITS).rows == ratio_report(79).rows
+    assert _decimal(b << MIN_BITS, hi) != _decimal(b << MIN_BITS, lo)
+    lo, hi = asymptotic_bicolored(79, DEFAULT_BITS)
+    settled = _decimal(b << DEFAULT_BITS, hi)
+    assert settled == _decimal(b << DEFAULT_BITS, lo)
+    assert ratio_report(79).rows[78].b_ratio == settled
 
 
 def test_unsettled_bracket_at_the_cap_is_an_internal_error():
@@ -242,5 +246,6 @@ def test_unsettled_bracket_at_the_cap_is_an_internal_error():
         seen.append(p)
         return (1, 3), (2, 3)
     with pytest.raises(BrokenInvariant):
-        _bracketed(ends, MAX_BITS // 4)
-    assert seen == [MAX_BITS // 4, MAX_BITS // 2, MAX_BITS]
+        _bracketed(ends)
+    assert seen == [MIN_BITS << k for k in range((MAX_BITS // MIN_BITS).bit_length())]
+    assert seen[-1] == MAX_BITS

@@ -7,7 +7,9 @@ input, with the rest embedded in every possible label subset.  Equivariance
 n = 5 and sampled above.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from math import comb
 
@@ -27,9 +29,23 @@ from splitspecies.bijections import (
     uk_decompose,
 )
 from splitspecies.enumeration import ClassTag, enumerate_labeled
-from splitspecies.errors import IsolatedGreen, LabelClash, OutOfRange, TooSmall, WrongClass
+from splitspecies.errors import (
+    IsolatedGreen,
+    LabelClash,
+    MalformedInput,
+    OutOfRange,
+    TooSmall,
+    WrongClass,
+)
 from splitspecies.graphs import Graph, make_bicolored, make_graph, relabel
-from splitspecies.structure import ColoredSplitGraph, SplitClass, all_colorings, classify
+from splitspecies.structure import (
+    ColoredSplitGraph,
+    SplitClass,
+    all_colorings,
+    classify,
+    classify_report,
+    swing_report,
+)
 
 from conftest import complete_graph, empty_graph, path_graph, star_graph
 
@@ -368,3 +384,76 @@ def test_convolution_count_identities(census7):
         if n >= 1:
             assert lab[n][ClassTag.AMBIGUOUS] == n * lab[n - 1][ClassTag.BALANCED]
         assert lab[n][ClassTag.COLORED_SPLIT] == lab[n][ClassTag.BICOLORED_NO_ISOLATED_GREEN]
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs and relabeling errors
+# ---------------------------------------------------------------------------
+
+# sha256 of the JSON lines of ``_bijection_outputs``, pinned when each map
+# still built its graph rows by hand: a changed label, edge or colour of any
+# output changes it
+BIJECTION_OUTPUTS_SHA256 = "dcbd789d182d85a2e380deb914a58fc3f97bb0f57b39b4b4ef7424ac827510f8"
+
+# two maps of the label universe 0..15: one reverses it, one rotates it
+_PERMS = (tuple(range(15, -1, -1)), tuple((v + 5) % 16 for v in range(16)))
+
+
+def _bijection_outputs():
+    """The classification of every split graph with n <= 5, each map and its
+    inverse on it and on its colorings, and every remainder relabeled."""
+    for n in range(6):
+        for g in enumerate_labeled(n, ClassTag.SPLIT):
+            rep = swing_report(g)
+            cls = classify_report(rep)
+            yield [cls.value, rep.to_json()]
+            rests = []
+            if cls is SplitClass.K_CANONICAL:
+                a, rest = uk_decompose(g)
+                rests.append(rest)
+                yield [list(a), rest.to_json(), uk_compose(a, rest).to_json()]
+            elif cls is SplitClass.AMBIGUOUS:
+                a, rest = amb_decompose(g)
+                rests.append(rest)
+                yield [a, rest.to_json(), amb_compose(a, rest).to_json()]
+            elif cls is SplitClass.BALANCED and n < 5:
+                rests.append(EmbeddedGraph.whole(g))
+                yield amb_compose(n, g).to_json()
+            for c in all_colorings(g):
+                b = split_to_bicolored(c)
+                yield [c.to_json(), b.to_json(), bicolored_to_split(b).to_json()]
+                rests.append(EmbeddedColored.whole(c))
+                if n < 4:
+                    yield uk_compose((n, n + 1), c).to_json()
+                if cls is SplitClass.K_CANONICAL:
+                    ps, rest = cuk_decompose(c)
+                    rests.append(rest)
+                    yield [ps.to_json(), rest.to_json(), cuk_compose(ps, rest).to_json()]
+            for rest in rests:
+                yield [rest.relabeled(p).to_json() for p in _PERMS]
+
+
+def test_bijection_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for out in _bijection_outputs():
+        digest.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == BIJECTION_OUTPUTS_SHA256
+
+
+def _embedded_p3(carrier):
+    g = path_graph(3)
+    return EmbeddedGraph.whole(g) if carrier == "graph" else EmbeddedColored.whole(all_colorings(g)[0])
+
+
+@pytest.mark.parametrize("carrier", ["graph", "colored"])
+@pytest.mark.parametrize("p", [(5, 5, 2), (3, 3, 7), (0, 2, 0)])
+def test_relabeled_refuses_a_map_that_is_not_injective(carrier, p):
+    with pytest.raises(MalformedInput):
+        _embedded_p3(carrier).relabeled(p)
+
+
+@pytest.mark.parametrize("carrier", ["graph", "colored"])
+@pytest.mark.parametrize("p", [(0, 1, 16), (16, 17, 18), (2, 30, 1), (-1, 0, 1)])
+def test_relabeled_refuses_an_image_outside_the_label_universe(carrier, p):
+    with pytest.raises(OutOfRange):
+        _embedded_p3(carrier).relabeled(p)

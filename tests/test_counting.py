@@ -106,3 +106,14 @@ def test_decimal_handles_huge_counts():
     finally:
         sys.set_int_max_str_digits(limit)
     assert text.isdigit() and len(text) > 4300
+
+
+def test_decimal_leaves_the_digit_cap_alone(monkeypatch):
+    """Printing past the int-to-str cap changes no process-wide setting."""
+    def refuse(limit):
+        raise AssertionError(f"decimal set the int-to-str digit cap to {limit}")
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    assert decimal(10**5000 + 1) == "1" + "0" * 4999 + "1"
+    assert decimal(-(10**5000 + 1)) == "-1" + "0" * 4999 + "1"
+    assert decimal(-(10**1200)) == "-1" + "0" * 1200
+    assert [decimal(v) for v in (0, 7, -7, 10**600 - 1)] == ["0", "7", "-7", "9" * 600]

@@ -45,7 +45,6 @@ BOUNDARY = {
     "make-graph-negative": (lambda: graphs.make_graph(-1, []), OutOfRange),
     # precision below MIN_BITS
     "theta-bits": (lambda: asymptotics.theta("even", MIN_BITS - 1), OutOfRange),
-    "ratio-report-bits": (lambda: asymptotics.ratio_report(3, bits=MIN_BITS - 1), OutOfRange),
     # named choices
     "b-ratio-kind": (lambda: asymptotics.check_b_ratio(3, kind="x"), OutOfRange),
     "theta-parity": (lambda: asymptotics.theta("both"), OutOfRange),
@@ -58,7 +57,6 @@ BOUNDARY = {
     "chain-count-cap": (lambda: counting.chain_count("S", MAX_CHAIN_ORDER + 1), TooLarge),
     "ratio-report-cap": (lambda: asymptotics.ratio_report(MAX_CHAIN_ORDER + 1), TooLarge),
     "theta-bits-cap": (lambda: asymptotics.theta("odd", MAX_BITS + 1), TooLarge),
-    "ratio-report-bits-cap": (lambda: asymptotics.ratio_report(3, bits=MAX_BITS + 1), TooLarge),
     "u-over-s-cap": (lambda: asymptotics.u_over_s_bound_violations(MAX_CHAIN_ORDER + 1), TooLarge),
     "census-cap": (lambda: enumeration.class_census(CENSUS_MAX_N + 1), TooLarge),
     "count-labeled-census-cap": (
@@ -89,7 +87,7 @@ BOUNDARY = {
     "empty-graph-text": (lambda: graphs.parse_graph_text(""), MalformedInput),
     # sizes that are not integers, refused before any comparison
     "bicolored-bool": (lambda: counting.bicolored_labeled(True), MalformedInput),
-    "ratio-report-float-bits": (lambda: asymptotics.ratio_report(3, bits=100.5), MalformedInput),
+    "theta-float-bits": (lambda: asymptotics.theta("even", 100.5), MalformedInput),
     "graph-json-string-n": (lambda: graphs.graph_from_json({"n": "3", "edges": []}), MalformedInput),
     # vertex labels of two-colored graphs that are not integers
     "colored-bool-label": (lambda: structure.ColoredSplitGraph.from_json(
@@ -131,7 +129,9 @@ def test_sizes_at_the_bounds_still_work():
     assert counting.split_labeled_bp(1) == 1
     assert counting.cross_check(0).ok
     assert asymptotics.check_b_ratio(0) == []
-    assert asymptotics.ratio_report(0, bits=MIN_BITS).rows == []
-    assert asymptotics.ratio_report(2, bits=MAX_BITS).rows == asymptotics.ratio_report(2).rows
+    assert asymptotics.ratio_report(0).rows == []
+    assert [r.n for r in asymptotics.ratio_report(2).rows] == [1, 2]
+    assert asymptotics.theta("even", MIN_BITS)[0] >> MIN_BITS == 2
+    assert asymptotics.theta("odd", MAX_BITS)[0] >> MAX_BITS == 2
     assert len(series.derive_labeled_chain(0)["S"]) == 1
     assert graphs.make_graph(MAX_VERTICES, []).n == MAX_VERTICES
