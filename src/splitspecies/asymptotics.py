@@ -111,7 +111,7 @@ def check_b_ratio_unlabeled(base: list[int]) -> list[int]:
 
 def u_over_s_bound_violations(n_max: int) -> list[int]:
     """All n <= n_max violating u_n/s_n <= n^2 / 2^{(n+1)/2} (exact check)."""
-    chain = derive_labeled_chain(max(check_size(n_max, what="n_max"), 8))
+    chain = derive_labeled_chain(check_size(n_max, what="n_max"))
     u, s = chain["U"], chain["S"]
     violations = []
     for n in range(1, n_max + 1):
@@ -125,7 +125,7 @@ def u_over_s_monotone_from(n_max: int) -> int:
 
     Comparisons are exact cross-multiplications.
     """
-    chain = derive_labeled_chain(max(check_size(n_max, what="n_max"), 8))
+    chain = derive_labeled_chain(check_size(n_max, what="n_max"))
     u, s = chain["U"], chain["S"]
     threshold = 1
     for n in range(1, n_max):
@@ -266,7 +266,7 @@ def ratio_report(n_max: int, unlabeled_base: list[int] | None = None) -> RatioRe
     """
     if unlabeled_base is not None:
         check_unlabeled_base(unlabeled_base)
-    chain = derive_labeled_chain(max(check_size(n_max, what="n_max"), 8))
+    chain = derive_labeled_chain(check_size(n_max, what="n_max"))
     b, u, s = chain["BC"], chain["U"], chain["S"]
     rows = [RatioRow(n=n, b_ratio=_b_ratio(n, b[n]), s_over_b=_decimal(s[n], b[n]),
                      u_over_s=_decimal(u[n], s[n]), bound=_bound(n),

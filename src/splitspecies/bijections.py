@@ -36,6 +36,7 @@ from .errors import (
     WrongClass,
 )
 from .graphs import MAX_VERTICES, BicoloredGraph, Graph, bits_of, mask_of
+from .graphs import _check_labels as _check_integers
 from .record import Record
 from .structure import (
     ColoredSplitGraph,
@@ -79,7 +80,7 @@ class EmbeddedGraph(Record):
         object.__setattr__(self, "core", core)
 
     def relabeled(self, p: Sequence[int]) -> "EmbeddedGraph":
-        images = [p[l] for l in self.labels]
+        images = _images(p, self.labels)
         labels = tuple(sorted(images))
         return EmbeddedGraph(labels, _graph_on(labels, _outer_edges(images, self.core)))
 
@@ -109,7 +110,7 @@ class EmbeddedColored(Record):
         return tuple(self.labels[v] for v in self.core.red)
 
     def relabeled(self, p: Sequence[int]) -> "EmbeddedColored":
-        images = [p[l] for l in self.labels]
+        images = _images(p, self.labels)
         labels = tuple(sorted(images))
         g = _graph_on(labels, _outer_edges(images, self.core.graph))
         return _colored_on(labels, g, mask_of(images[v] for v in self.core.green))
@@ -125,13 +126,21 @@ class EmbeddedColored(Record):
 
 
 def _check_labels(labels: tuple[int, ...], n: int | None = None):
-    """Labels (n of them, if given) strictly increasing in 0..MAX_VERTICES - 1."""
+    """Integer labels (n of them, if given) strictly increasing in 0..MAX_VERTICES - 1."""
     if n is not None and len(labels) != n:
         raise LengthMismatch(f"{len(labels)} labels for {n} vertices")
+    _check_integers(labels)
     if any(a >= b for a, b in zip(labels, labels[1:])):
         raise MalformedInput(f"labels must be distinct and increasing, got {labels}")
     if labels and not (0 <= labels[0] and labels[-1] < MAX_VERTICES):
         raise OutOfRange(f"labels must lie in 0..{MAX_VERTICES - 1}, got {labels}")
+
+
+def _images(p: Sequence[int], labels: tuple[int, ...]) -> list[int]:
+    """The image under p of each of the increasing labels."""
+    if labels and len(p) <= labels[-1]:
+        raise LengthMismatch(f"a map of length {len(p)} has no image for label {labels[-1]}")
+    return [p[l] for l in labels]
 
 
 def _graph_on(labels: tuple[int, ...], edges: Iterable[tuple[int, int]]) -> Graph:

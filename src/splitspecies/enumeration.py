@@ -3,13 +3,14 @@
 This module is the ground-truth oracle.  Split graphs come straight from the
 definition: a clique K, a stable set S = V - K, and any set of K-S edges.
 Each clique mask with each subset of its cross edges is one (graph,
-partition) pair.  Tables indexed by edge word (one byte per word, 2 MB at
-n = 7) gather the pairs of each graph: which words occur, and the union and
-intersection of their clique sides.  Those give the class: one partition is
-balanced, two ambiguous, three or more canonical (k-canonical when the
-largest clique side is unique, s-canonical otherwise).  Bicolored structures
-come from the same cross-edge expansion without the clique edges, and
-colored split graphs from it with the clique edges of the green side.
+partition) pair.  One walk over the pairs fills two tables indexed by edge
+word (one byte per word, 2 MB at n = 7): the union and the intersection of
+each graph's clique sides.  The words with an intersection are the split
+graphs, and the two masks give the class: one partition is balanced, two
+ambiguous, three or more canonical (k-canonical when the union is a
+clique, s-canonical otherwise).  Bicolored structures come from the same
+cross-edge expansion without the clique edges, and colored split graphs
+from it with the clique edges of the green side.
 
 Each count builds only its own class family, cached per size: all graphs;
 the split family (split graphs and their five classes); or one two-colored
@@ -123,23 +124,18 @@ def _partitions(n: int) -> Iterator[tuple[int, list[int]]]:
     """Every (split graph, clique/stable partition) pair on n vertices.
 
     A split graph is a clique K, a stable set S and any set of K-S edges.
-    Yields each clique mask K, by ascending size, with the edge words of the
-    graphs that have K as a clique side.
+    Yields each clique mask K, ascending, with the edge words of the graphs
+    that have K as a clique side.
     """
-    for k in sorted(range(1 << n), key=int.bit_count):
+    for k in range(1 << n):
         yield k, _cross_words(n, k, base=_clique_word(k))
 
 
 def _split_table(n: int) -> bytearray:
     """Table indexed by edge word, 1 at the words of split graphs on n vertices."""
-    seen = bytearray(1 << _edge_count(n))
-    for _, words in _partitions(n):
-        for w in words:
-            seen[w] = 1
-    return seen
+    return _flag_table(n, itertools.chain.from_iterable(words for _, words in _partitions(n)))
 
 
-@lru_cache(maxsize=16)
 def _split_words(n: int) -> array:
     """Ascending edge words of all split graphs on n vertices."""
     return array(_WORD, map(re.Match.start, re.finditer(b"\x01", _split_table(n))))
@@ -165,23 +161,26 @@ class _SplitData(Record):
 def _split_data(n: int) -> _SplitData:
     """Class, swing set and a K-max clique side of every split graph.
 
-    With A the swings and Y the vertices on the clique side of every
-    partition, the clique sides are: K alone (balanced); Y and Y + a
-    (ambiguous); A + Y and each A + Y - a (k-canonical); Y and each Y + a
-    (s-canonical).  The swings are the union of the clique sides minus their
-    intersection, and a graph has one partition more than it has swings: no
-    swing is balanced, one ambiguous, and with more the graph is k-canonical
-    iff the union is itself a largest clique side.  The sides come by
-    ascending size, so the last one recorded per word is a largest.
+    One walk over the (graph, partition) pairs fills two tables indexed by
+    edge word: the union of the clique sides and their intersection, which
+    starts at 0xff, above every vertex mask, so the split graphs are the
+    words where it falls below.  With A the swings and Y the vertices on the
+    clique side of every partition, the clique sides are: K alone
+    (balanced); Y and Y + a (ambiguous); A + Y and each A + Y - a
+    (k-canonical); Y and each Y + a (s-canonical).  So the swings are the
+    union minus the intersection, and with two or more the graph is
+    k-canonical iff the union is a clique of it: any two swings of an
+    s-canonical graph lie on the stable side V - Y.
     """
-    words = _split_words(n)
     size = 1 << _edge_count(n)
-    union, common, last = bytearray(size), bytearray(b"\xff") * size, bytearray(size)
+    union, common = bytearray(size), bytearray(b"\xff") * size
     for k, pairs in _partitions(n):
         for w in pairs:
             union[w] |= k
             common[w] &= k
-            last[w] = k
+    below = bytes([1] * 255 + [0])  # 1 at each mask below 0xff
+    words = array(_WORD, map(re.Match.start, re.finditer(b"\x01", common.translate(below))))
+    clique = [_clique_word(m) for m in range(1 << n)]
     classes, swings, kmax = array("B"), array("B"), array("B")
     for w in words:
         u, c = union[w], common[w]
@@ -189,7 +188,7 @@ def _split_data(n: int) -> _SplitData:
         if not a & (a - 1):
             cls = _AMB if a else _BAL
         else:
-            cls = _KCAN if last[w] == u else _SCAN
+            cls = _KCAN if w & clique[u] == clique[u] else _SCAN
         classes.append(cls)
         swings.append(a)
         # an s-canonical graph has one K-max side per swing: take the lowest

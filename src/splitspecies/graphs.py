@@ -115,16 +115,20 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Raises OutOfRange for a negative vertex count or an endpoint outside
     0..n-1, TooLarge for more than MAX_VERTICES vertices, SelfLoop for an
-    edge (v, v).  Duplicate edges are tolerated.
+    edge (v, v), MalformedInput for an edge that is not a pair of integers.
+    Duplicate edges are tolerated.
     """
     rows = [0] * check_size(n, high=MAX_VERTICES, what="vertex count")
-    for i, j in edges:
-        if i == j:
-            raise SelfLoop(f"self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise OutOfRange(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
+    try:
+        for i, j in edges:
+            if i == j:
+                raise SelfLoop(f"self-loop at vertex {i}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise OutOfRange(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    except TypeError as exc:
+        raise MalformedInput(f"edges must be pairs of integers ({exc})") from exc
     return Graph(n, tuple(rows))
 
 
@@ -132,17 +136,20 @@ def relabel(g: Graph, p: Sequence[int]) -> Graph:
     """Apply permutation p: edge (i, j) of g becomes edge (p[i], p[j])."""
     if len(p) != g.n:
         raise LengthMismatch(f"permutation length {len(p)} != vertex count {g.n}")
-    if sorted(p) != list(range(g.n)):
-        raise MalformedInput(f"not a permutation of 0..{g.n - 1}: {list(p)}")
     rows = [0] * g.n
-    for v in range(g.n):
-        r = g.rows[v]
-        nr = 0
-        while r:
-            b = r & -r
-            nr |= 1 << p[b.bit_length() - 1]
-            r ^= b
-        rows[p[v]] = nr
+    try:
+        if sorted(p) != list(range(g.n)):
+            raise MalformedInput(f"not a permutation of 0..{g.n - 1}: {list(p)}")
+        for v in range(g.n):
+            r = g.rows[v]
+            nr = 0
+            while r:
+                b = r & -r
+                nr |= 1 << p[b.bit_length() - 1]
+                r ^= b
+            rows[p[v]] = nr
+    except TypeError as exc:
+        raise MalformedInput(f"permutation entries must be integers, got {list(p)}") from exc
     return Graph(g.n, tuple(rows))
 
 

@@ -335,6 +335,17 @@ def test_missing_file_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--graph"],
+    ["biject", "--map", "cuk-decompose", "--input"],
+    ["asym", "--max-n", "3", "--unlabeled-base"],
+], ids=lambda argv: argv[0])
+def test_unreadable_input_path_exits_3(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))  # a directory
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 # (argv, content of the file named by "{file}" or None, exit code)
 BAD_INVOCATIONS = {
     "malformed-text": (["classify", "--graph", "{file}"], "4\n0 x\n", 3),

@@ -258,6 +258,45 @@ def test_green_words_are_the_keys_with_a_prefix_green_set(n, tag):
         assert sorted(_green_words(n, green, tag)) == expected, c
 
 
+# sha256 of the four arrays of _split_data(n) for n = 0..7, words as
+# little-endian 32-bit integers, taken from the two-walk build it replaced
+SPLIT_DATA_SHA256 = "eebd29e519f4ed9c0afabc6715b69d1e04b29d2939fb346eed0142a5ef3db893"
+
+
+def test_split_data_matches_the_pinned_digest():
+    import hashlib
+    import struct
+
+    from splitspecies.enumeration import _split_data
+
+    h = hashlib.sha256()
+    for n in range(8):
+        data = _split_data(n)
+        h.update(struct.pack(f"<{len(data.words)}I", *data.words))
+        for column in (data.classes, data.swings, data.kmax):
+            h.update(column.tobytes())
+    assert h.hexdigest() == SPLIT_DATA_SHA256
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_split_data_words_match_the_split_table(n):
+    """The class walk reads its words off its own table; the split table is
+    a separate walk, so each checks the other."""
+    from splitspecies.enumeration import _split_data, _split_words
+
+    assert _split_data(n).words == _split_words(n)
+
+
+def test_split_data_builds_without_the_split_words(cold_caches, monkeypatch):
+    from splitspecies import enumeration
+
+    def unused(n):
+        raise AssertionError("_split_data walked the partitions a second time")
+
+    monkeypatch.setattr(enumeration, "_split_words", unused)
+    assert len(enumeration._split_data(6).words) == S_LABELED[6]
+
+
 def test_corrupted_split_classes_break_the_unlabeled_count(cold_caches, monkeypatch):
     from array import array
 

@@ -7,12 +7,13 @@ are caller data, never an InternalError.
 
 import pytest
 
-from splitspecies import asymptotics, counting, enumeration, graphs, series, structure
+from splitspecies import asymptotics, bijections, counting, enumeration, graphs, series, structure
 from splitspecies.asymptotics import MAX_BITS, MIN_BITS
 from splitspecies.counting import MAX_FORMULA_N
 from splitspecies.enumeration import CENSUS_MAX_N, SPLIT_MAX_N, ClassTag
 from splitspecies.errors import (
     InternalError,
+    LengthMismatch,
     MalformedInput,
     OutOfRange,
     SplitSpeciesError,
@@ -25,6 +26,14 @@ from splitspecies.series import MAX_CHAIN_ORDER
 
 def _graph(n):
     return Graph(n, (0,) * n)
+
+
+def _path3():
+    return graphs.make_graph(3, [(0, 1), (1, 2)])
+
+
+def _colored_edge():
+    return structure.ColoredSplitGraph.from_json({"n": 2, "edges": [[0, 1]], "green": [0], "red": [1]})
 
 
 BOUNDARY = {
@@ -85,6 +94,20 @@ BOUNDARY = {
     "relabel-not-a-permutation": (
         lambda: graphs.relabel(graphs.make_graph(2, [(0, 1)]), (0, 0)), MalformedInput),
     "empty-graph-text": (lambda: graphs.parse_graph_text(""), MalformedInput),
+    "relabel-float-entries": (lambda: graphs.relabel(_path3(), [0.0, 1.0, 2.0]), MalformedInput),
+    "make-graph-float-endpoint": (lambda: graphs.make_graph(3, [(0.0, 1)]), MalformedInput),
+    # labels and relabelings of the bijections' carriers
+    "pointed-set-float-label": (lambda: bijections.PointedSet((0.5, 2), 2), MalformedInput),
+    "embedded-graph-float-image": (
+        lambda: bijections.EmbeddedGraph.whole(_path3()).relabeled([0.5, 1, 2]), MalformedInput),
+    "embedded-colored-float-image": (
+        lambda: bijections.EmbeddedColored.whole(_colored_edge()).relabeled([0.5, 1]),
+        MalformedInput),
+    "pointed-set-bool-label": (lambda: bijections.PointedSet((True, 2), 2), MalformedInput),
+    "embedded-graph-short-map": (lambda: bijections.EmbeddedGraph(
+        (0, 5), graphs.make_graph(2, [])).relabeled([0, 1]), LengthMismatch),
+    "embedded-colored-short-map": (
+        lambda: bijections.EmbeddedColored.whole(_colored_edge()).relabeled([1]), LengthMismatch),
     # sizes that are not integers, refused before any comparison
     "bicolored-bool": (lambda: counting.bicolored_labeled(True), MalformedInput),
     "theta-float-bits": (lambda: asymptotics.theta("even", 100.5), MalformedInput),
