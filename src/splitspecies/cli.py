@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SplitSpeciesError, OSError) as exc:
+    except SplitSpeciesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:

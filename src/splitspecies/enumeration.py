@@ -136,9 +136,12 @@ def _split_table(n: int) -> bytearray:
     return _flag_table(n, itertools.chain.from_iterable(words for _, words in _partitions(n)))
 
 
-def _split_words(n: int) -> array:
-    """Ascending edge words of all split graphs on n vertices."""
-    return array(_WORD, map(re.Match.start, re.finditer(b"\x01", _split_table(n))))
+def _split_words(n: int, flags: bytearray | None = None) -> array:
+    """Ascending edge words of the split graphs on n vertices: the 1 entries
+    of ``flags``, a table indexed by edge word, which ``_split_table`` builds
+    if it is None."""
+    flags = _split_table(n) if flags is None else flags
+    return array(_WORD, map(re.Match.start, re.finditer(b"\x01", flags)))
 
 
 class _SplitData(Record):
@@ -179,7 +182,7 @@ def _split_data(n: int) -> _SplitData:
             union[w] |= k
             common[w] &= k
     below = bytes([1] * 255 + [0])  # 1 at each mask below 0xff
-    words = array(_WORD, map(re.Match.start, re.finditer(b"\x01", common.translate(below))))
+    words = _split_words(n, common.translate(below))
     clique = [_clique_word(m) for m in range(1 << n)]
     classes, swings, kmax = array("B"), array("B"), array("B")
     for w in words:
@@ -470,10 +473,7 @@ def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
             yield Graph.from_edge_word(n, word)
     elif tag in _CLASSIFIED_TAGS:
         data = _split_data(n)
-        if tag is ClassTag.UNBALANCED:
-            wanted = {_AMB, _KCAN, _SCAN}
-        else:
-            wanted = {_CLS_OF_TAG[tag]}
+        wanted = {_AMB, _KCAN, _SCAN} if tag is ClassTag.UNBALANCED else {_CLS_OF_TAG[tag]}
         for word, cls in zip(data.words, data.classes):
             if cls in wanted:
                 yield Graph.from_edge_word(n, word)

@@ -349,15 +349,18 @@ def format_graph_text(g: Graph) -> str:
 def load_file(path: str, parse: Callable[[str], T]) -> T:
     """Parse the text of a file.
 
-    Text that does not parse (JSON nested too deeply to decode included)
-    raises MalformedInput; the package's own domain errors (a label out of
-    range, a self-loop, ...) pass through unchanged.
+    A path that cannot be read (missing, a directory, ...) and text that
+    does not parse (JSON nested too deeply to decode included) raise
+    MalformedInput; the package's own domain errors (a label out of range,
+    a self-loop, ...) pass through unchanged.
     """
     try:
         with open(path) as f:
             return parse(f.read())
     except SplitSpeciesError:
         raise
+    except OSError as exc:
+        raise MalformedInput(f"{path}: cannot be read ({exc.strerror or exc})") from exc
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise MalformedInput(f"{path}: malformed input ({type(exc).__name__}: {exc})") from exc
 

@@ -287,14 +287,19 @@ def test_split_data_words_match_the_split_table(n):
     assert _split_data(n).words == _split_words(n)
 
 
-def test_split_data_builds_without_the_split_words(cold_caches, monkeypatch):
+def test_split_data_walks_the_partitions_once(cold_caches, monkeypatch):
     from splitspecies import enumeration
 
-    def unused(n):
-        raise AssertionError("_split_data walked the partitions a second time")
+    walks = []
+    partitions = enumeration._partitions
 
-    monkeypatch.setattr(enumeration, "_split_words", unused)
+    def counted(n):
+        walks.append(n)
+        return partitions(n)
+
+    monkeypatch.setattr(enumeration, "_partitions", counted)
     assert len(enumeration._split_data(6).words) == S_LABELED[6]
+    assert walks == [6]
 
 
 def test_corrupted_split_classes_break_the_unlabeled_count(cold_caches, monkeypatch):

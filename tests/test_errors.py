@@ -94,6 +94,8 @@ BOUNDARY = {
     "relabel-not-a-permutation": (
         lambda: graphs.relabel(graphs.make_graph(2, [(0, 1)]), (0, 0)), MalformedInput),
     "empty-graph-text": (lambda: graphs.parse_graph_text(""), MalformedInput),
+    "load-file-directory": (lambda: graphs.load_graph("."), MalformedInput),
+    "load-file-missing": (lambda: graphs.load_graph("/nonexistent/file.g"), MalformedInput),
     "relabel-float-entries": (lambda: graphs.relabel(_path3(), [0.0, 1.0, 2.0]), MalformedInput),
     "make-graph-float-endpoint": (lambda: graphs.make_graph(3, [(0.0, 1)]), MalformedInput),
     # labels and relabelings of the bijections' carriers
