@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import random
 import sys
 
@@ -58,12 +57,18 @@ def _labeled_counts(tag: ClassTag, ns) -> dict[int, int]:
     return {n: 1 << (n * (n - 1) // 2) for n in ns}  # all graphs
 
 
-_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _ENUMERATE_BLOCK = 4096  # lines per write of ``enumerate``
 
 
+def _json_encoder():
+    """The sorted compact encoder of every JSON output; json loads only here."""
+    import json
+
+    return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _emit_json(data) -> None:
-    print(_JSON.encode(data))
+    print(_json_encoder()(data))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +102,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     tag = ClassTag(args.klass)
-    lines = (_JSON.encode(structure.to_json()) for structure in enumerate_labeled(args.n, tag))
+    encode = _json_encoder()
+    lines = (encode(structure.to_json()) for structure in enumerate_labeled(args.n, tag))
     while block := list(itertools.islice(lines, _ENUMERATE_BLOCK)):
         sys.stdout.write("\n".join(block) + "\n")
     return 0
@@ -111,6 +117,8 @@ def _cmd_classify(args) -> int:
 
 
 def _load_colored(path: str, carrier: type[TwoColoredGraph]) -> TwoColoredGraph:
+    import json
+
     return load_file(path, lambda text: carrier.from_json(json.loads(text)))
 
 
@@ -297,6 +305,8 @@ def _cmd_verify(args) -> int:
 def _cmd_asym(args) -> int:
     base = None
     if args.unlabeled_base:  # ratio_report checks the values
+        import json
+
         base = load_file(args.unlabeled_base, lambda text: json.loads(text)["values"])
     report = ratio_report(args.max_n, unlabeled_base=base)
     if args.format == "json":

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 import re
 import sys
 from array import array
@@ -273,15 +272,15 @@ def _green_words(n: int, green: int, tag: ClassTag) -> list[int]:
     return _cross_words(n, green, cover=tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN)
 
 
-def _bicolored_keys(n: int, no_isolated_green: bool) -> array:
-    """Keys (edge word << n | green mask) of all bicolored structures.
+def _bicolored_keys(n: int, tag: ClassTag) -> array:
+    """Keys (edge word << n | green mask) of all structures of a bicolored class.
 
-    Green-major: ascending green mask, then the cross-edge subsets in the
-    order of ``_cross_words``.
+    Green-major: ascending green mask, then the words of ``_green_words``
+    in their order.
     """
     keys = array(_WORD)
     for green in range(1 << n):
-        keys.extend([(w << n) | green for w in _cross_words(n, green, no_isolated_green)])
+        keys.extend([(w << n) | green for w in _green_words(n, green, tag)])
     return keys
 
 
@@ -482,7 +481,7 @@ def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
             carrier, keys = ColoredSplitGraph, _colored_split_keys(n)
         else:
             carrier = BicoloredGraph
-            keys = _bicolored_keys(n, tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN)
+            keys = _bicolored_keys(n, tag)
         full = (1 << n) - 1
         for key in keys:
             green = key & full
@@ -515,6 +514,7 @@ def count_unlabeled(n: int, tag: ClassTag) -> int:
 
 def write_census_files(directory: str, max_n: int = 7):
     """Regenerate the golden census files census-n{0..max_n}.json."""
+    import json
     import os
 
     for n in range(max_n + 1):

@@ -14,7 +14,6 @@ ordering nests: a graph extended by an isolated vertex keeps its word.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -116,7 +115,8 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Raises OutOfRange for a negative vertex count or an endpoint outside
     0..n-1, TooLarge for more than MAX_VERTICES vertices, SelfLoop for an
     edge (v, v), MalformedInput for an edge that is not a pair of integers.
-    Duplicate edges are tolerated.
+    Duplicate edges are tolerated.  A bool endpoint passes as 0 or 1, which
+    keeps type checks out of the edge loop; ``graph_from_json`` refuses it.
     """
     rows = [0] * check_size(n, high=MAX_VERTICES, what="vertex count")
     try:
@@ -133,23 +133,25 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def relabel(g: Graph, p: Sequence[int]) -> Graph:
-    """Apply permutation p: edge (i, j) of g becomes edge (p[i], p[j])."""
+    """Apply permutation p: edge (i, j) of g becomes edge (p[i], p[j]).
+
+    Raises LengthMismatch unless p has g.n entries, MalformedInput unless
+    they are ints (not bools) forming a permutation of 0..n-1.
+    """
     if len(p) != g.n:
         raise LengthMismatch(f"permutation length {len(p)} != vertex count {g.n}")
+    _check_labels(p)
+    if sorted(p) != list(range(g.n)):
+        raise MalformedInput(f"not a permutation of 0..{g.n - 1}: {list(p)}")
     rows = [0] * g.n
-    try:
-        if sorted(p) != list(range(g.n)):
-            raise MalformedInput(f"not a permutation of 0..{g.n - 1}: {list(p)}")
-        for v in range(g.n):
-            r = g.rows[v]
-            nr = 0
-            while r:
-                b = r & -r
-                nr |= 1 << p[b.bit_length() - 1]
-                r ^= b
-            rows[p[v]] = nr
-    except TypeError as exc:
-        raise MalformedInput(f"permutation entries must be integers, got {list(p)}") from exc
+    for v in range(g.n):
+        r = g.rows[v]
+        nr = 0
+        while r:
+            b = r & -r
+            nr |= 1 << p[b.bit_length() - 1]
+            r ^= b
+        rows[p[v]] = nr
     return Graph(g.n, tuple(rows))
 
 
@@ -302,7 +304,7 @@ def make_bicolored(n: int, edges: Iterable[tuple[int, int]], green: Iterable[int
 # Mask/tuple helpers and serialization
 # ---------------------------------------------------------------------------
 
-def _check_labels(labels: tuple) -> None:
+def _check_labels(labels: Iterable) -> None:
     """Raise MalformedInput unless every label is an int (a bool is not)."""
     for v in labels:
         if type(v) is not int:
@@ -326,7 +328,13 @@ def bits_of(mask: int) -> tuple[int, ...]:
 
 
 def graph_from_json(data: dict) -> Graph:
-    return make_graph(data["n"], [tuple(e) for e in data["edges"]])
+    """The graph of ``{"n": ..., "edges": [[i, j], ...]}``.
+
+    An endpoint that is not an int, a bool included, raises MalformedInput.
+    """
+    edges = [tuple(e) for e in data["edges"]]
+    _check_labels(itertools.chain.from_iterable(edges))
+    return make_graph(data["n"], edges)
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -372,5 +380,7 @@ def load_graph(path: str) -> Graph:
 
 def _parse_graph(text: str) -> Graph:
     if text.lstrip().startswith("{"):
+        import json
+
         return graph_from_json(json.loads(text))
     return parse_graph_text(text)

@@ -1,5 +1,6 @@
 """The command-line interface: outputs, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -68,6 +69,41 @@ def test_light_commands_do_not_load_numpy_or_mpmath():
                           capture_output=True, text=True, check=True)
     package = ["splitspecies.asymptotics", "splitspecies.enumeration"]
     assert json.loads(done.stdout) == [[0, package]] * 7
+
+
+# Imports the package and runs commands in one fresh interpreter, itself
+# loading no json; after each step, prints whether json is loaded.
+_JSON_PROBE = """
+import contextlib, io, sys
+seen = [("import splitspecies", "json" in sys.modules)]
+import splitspecies
+seen.append(("after import splitspecies", "json" in sys.modules))
+import splitspecies.cli as cli
+seen.append(("after import splitspecies.cli", "json" in sys.modules))
+for argv in (a.split() for a in sys.argv[1:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append((" ".join(argv), code, "json" in sys.modules))
+print(repr(seen))
+"""
+
+
+def test_text_and_csv_commands_do_not_load_json():
+    """Start-up and every text or CSV command run without the json module."""
+    src = os.path.dirname(os.path.dirname(splitspecies.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = ["count --class split --labeled --max-n 30",
+                "count --class balanced --labeled --n 20 --format csv",
+                "asym --max-n 20",
+                "verify --suite formulas --max-n 20 --format text"]
+    done = subprocess.run([sys.executable, "-c", _JSON_PROBE, *commands],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert ast.literal_eval(done.stdout) == [
+        ("import splitspecies", False),
+        ("after import splitspecies", False),
+        ("after import splitspecies.cli", False),
+        *((argv, 0, False) for argv in commands)]
 
 
 def test_count_bicolored_labeled(capsys):
@@ -357,6 +393,8 @@ BAD_INVOCATIONS = {
         '{"n": 2, "edges": [[0, 1]], "red": [1]}', 3),
     "bicolored-malformed-json": (
         ["biject", "--map", "bicolored-to-split", "--input", "{file}"], "[1, 2", 3),
+    "graph-json-bool-endpoint": (["classify", "--graph", "{file}"],
+                                 '{"n": 3, "edges": [[true, 2]]}', 3),
     "colored-json-bool-label": (
         ["biject", "--map", "split-to-bicolored", "--input", "{file}"],
         '{"n": 2, "edges": [[0, 1]], "green": [true], "red": [0]}', 3),

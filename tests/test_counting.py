@@ -1,6 +1,7 @@
 """Closed-form counters, the double-sum formula, and the cross check."""
 
 import sys
+from math import comb
 
 import pytest
 
@@ -24,6 +25,12 @@ def test_bicolored_labeled_examples():
     assert bicolored_labeled(4) == 162
     assert bicolored_labeled(6) == 18306
     assert [bicolored_labeled(n) for n in range(8)] == BC_LABELED
+
+
+def test_bicolored_labeled_matches_the_term_by_term_sum():
+    """The halved sum equals sum_k C(n,k) 2^{k(n-k)} over every k, for every n <= 500."""
+    for n in range(501):
+        assert bicolored_labeled(n) == sum(comb(n, k) << (k * (n - k)) for k in range(n + 1)), n
 
 
 def test_split_labeled_examples():

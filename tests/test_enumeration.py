@@ -250,7 +250,7 @@ def test_green_words_are_the_keys_with_a_prefix_green_set(n, tag):
     if tag is ClassTag.COLORED_SPLIT:
         keys = _colored_split_keys(n)
     else:
-        keys = _bicolored_keys(n, tag is ClassTag.BICOLORED_NO_ISOLATED_GREEN)
+        keys = _bicolored_keys(n, tag)
     full = (1 << n) - 1
     for c in range(n + 1):
         green = (1 << c) - 1

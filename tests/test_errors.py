@@ -98,6 +98,9 @@ BOUNDARY = {
     "load-file-missing": (lambda: graphs.load_graph("/nonexistent/file.g"), MalformedInput),
     "relabel-float-entries": (lambda: graphs.relabel(_path3(), [0.0, 1.0, 2.0]), MalformedInput),
     "make-graph-float-endpoint": (lambda: graphs.make_graph(3, [(0.0, 1)]), MalformedInput),
+    "relabel-bool-entries": (lambda: graphs.relabel(_graph(2), [True, False]), MalformedInput),
+    "graph-json-bool-endpoint": (
+        lambda: graphs.graph_from_json({"n": 3, "edges": [[True, 2]]}), MalformedInput),
     # labels and relabelings of the bijections' carriers
     "pointed-set-float-label": (lambda: bijections.PointedSet((0.5, 2), 2), MalformedInput),
     "embedded-graph-float-image": (

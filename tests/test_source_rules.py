@@ -48,3 +48,20 @@ def test_package_never_imports(module):
             if any(name.split(".")[0] == module for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_module_level_json_import_in_package():
+    """json loads only inside the functions that read or write JSON, so start-up
+    and the text and CSV commands never pay for it."""
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
