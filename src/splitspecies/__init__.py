@@ -99,9 +99,7 @@ from .series import (
     named,
 )
 from .counting import (
-    CrossCheckReport,
     bicolored_labeled,
-    cross_check,
     split_labeled,
     split_labeled_bp,
     unbalanced_labeled,
@@ -116,5 +114,6 @@ from .asymptotics import (
     u_over_s_bound_violations,
     u_over_s_monotone_from,
 )
+from .checks import CrossCheckReport, cross_check
 
 __version__ = "0.1.0"

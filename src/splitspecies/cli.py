@@ -14,25 +14,16 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import random
 import sys
 
-from . import counting
-from .counting import decimal
+from . import checks, counting
 from .asymptotics import ratio_report
-from .bijections import (
-    amb_compose,
-    amb_decompose,
-    bicolored_to_split,
-    cuk_compose,
-    cuk_decompose,
-    split_to_bicolored,
-    uk_compose,
-    uk_decompose,
-)
-from .enumeration import ClassTag, count_labeled, count_unlabeled, enumerate_labeled
+from .bijections import (amb_decompose, bicolored_to_split, cuk_decompose, split_to_bicolored,
+                         uk_decompose)
+from .enumeration import CENSUS_MAX_N, ClassTag, count_unlabeled, enumerate_labeled
 from .errors import InternalError, SplitSpeciesError, check_size
-from .graphs import BicoloredGraph, Graph, TwoColoredGraph, load_file, load_graph
+from .graphs import BicoloredGraph, TwoColoredGraph, load_file, load_graph
+from .series import decimal
 from .structure import ColoredSplitGraph, classify_report, swing_report
 
 _CHAIN_KEYS = {
@@ -153,142 +144,41 @@ def _cmd_biject(args) -> int:
 
 # -- verify suites ----------------------------------------------------------
 
-def _identity_checks(max_n: int) -> list[dict]:
-    """Deterministic identity battery over the exhaustive census."""
-    checks = []
-
-    def add(name: str, n: int, expected: int, got: int):
-        checks.append({"check": name, "n": n, "expected": str(expected),
-                       "got": str(got), "ok": expected == got})
-
-    # each count builds only its class family; no check reads the unlabeled
-    # all-graphs count, the costliest one
-    T, lab, unl = ClassTag, count_labeled, count_unlabeled
-    for n in range(max_n + 1):
-        add("labeled-split-partition", n, lab(n, T.SPLIT),
-            lab(n, T.BALANCED) + lab(n, T.UNBALANCED))
-        add("labeled-unbalanced-partition", n, lab(n, T.UNBALANCED),
-            lab(n, T.K_CANONICAL) + lab(n, T.S_CANONICAL) + lab(n, T.AMBIGUOUS))
-        add("labeled-uk-equals-us", n, lab(n, T.K_CANONICAL), lab(n, T.S_CANONICAL))
-        add("unlabeled-uk-equals-us", n, unl(n, T.K_CANONICAL), unl(n, T.S_CANONICAL))
-        add("labeled-split-formula", n, counting.split_labeled(n), lab(n, T.SPLIT))
-        add("labeled-bicolored-formula", n, counting.bicolored_labeled(n), lab(n, T.BICOLORED))
-        add("labeled-colored-equals-bicolored-star", n, lab(n, T.COLORED_SPLIT),
-            lab(n, T.BICOLORED_NO_ISOLATED_GREEN))
-        add("unlabeled-colored-equals-split", n, unl(n, T.COLORED_SPLIT), unl(n, T.SPLIT))
-        s_tilde = [unl(k, T.SPLIT) for k in range(n + 1)]
-        add("unlabeled-unbalanced-partial-sums", n, sum(s_tilde[:-1]), unl(n, T.UNBALANCED))
-        add("unlabeled-bicolored-partial-sums", n, sum(s_tilde), unl(n, T.BICOLORED))
-        if n >= 1:
-            from math import comb
-
-            add("labeled-ambiguous-convolution", n, n * lab(n - 1, T.BALANCED),
-                lab(n, T.AMBIGUOUS))
-            uk_conv = sum(comb(n, k) * lab(n - k, T.COLORED_SPLIT) for k in range(2, n + 1))
-            add("labeled-k-canonical-convolution", n, uk_conv, lab(n, T.K_CANONICAL))
-    return checks
-
-
-def _random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[dict]]:
-    """Seeded random property checks: split test vs subset oracle, round trips.
-
-    Returns the failures and the round trips skipped because their class has
-    no graphs at size min(max_n, 7).
-    """
-    from .enumeration import _AMB, _KCAN, _split_data
-    from .graphs import complement, is_split, make_graph, relabel
-
-    rng = random.Random(seed)
-    failures = []
-
-    def subset_oracle(g: Graph) -> bool:
-        full = g.vertex_mask()
-        from .structure import is_clique, is_stable
-
-        return any(is_clique(g, km) and is_stable(g, full ^ km) for km in range(full + 1))
-
-    for case in range(cases):
-        n = rng.randint(0, min(max_n, 8))
-        edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
-        g = make_graph(n, edges)
-        if is_split(g) != subset_oracle(g):
-            failures.append({"check": "split-test-vs-subset-oracle", "case": case,
-                             "graph": g.to_json()})
-        if is_split(g) != is_split(complement(g)):
-            failures.append({"check": "split-complement-closure", "case": case,
-                             "graph": g.to_json()})
-
-    n = min(max_n, 7)
-    data = _split_data(n)
-    from .structure import all_colorings
-
-    kcanonical = [w for w, cls in zip(data.words, data.classes) if cls == _KCAN]
-    ambiguous = [w for w, cls in zip(data.words, data.classes) if cls == _AMB]
-    skipped = []
-    if not kcanonical:
-        skipped.append({"class": "k-canonical", "n": n, "checks": [
-            "uk-round-trip", "uk-equivariance", "cuk-round-trip", "bicolored-round-trip"]})
-    if not ambiguous:
-        skipped.append({"class": "ambiguous", "n": n, "checks": ["amb-round-trip"]})
-    for case in range(cases):
-        if kcanonical:
-            word = rng.choice(kcanonical)
-            g = Graph.from_edge_word(n, word)
-            a, rest = uk_decompose(g)
-            if uk_compose(a, rest).core != g:
-                failures.append({"check": "uk-round-trip", "case": case, "word": word})
-            p = list(range(n))
-            rng.shuffle(p)
-            a2, rest2 = uk_decompose(relabel(g, p))
-            if a2 != tuple(sorted(p[v] for v in a)) or rest2 != rest.relabeled(p):
-                failures.append({"check": "uk-equivariance", "case": case, "word": word})
-            colored = rng.choice(all_colorings(g))
-            ps, crest = cuk_decompose(colored)
-            if cuk_compose(ps, crest).core != colored:
-                failures.append({"check": "cuk-round-trip", "case": case, "word": word})
-            back = bicolored_to_split(split_to_bicolored(colored))
-            if back != colored:
-                failures.append({"check": "bicolored-round-trip", "case": case, "word": word})
-
-        if ambiguous:
-            word = rng.choice(ambiguous)
-            g = Graph.from_edge_word(n, word)
-            v, rest = amb_decompose(g)
-            if amb_compose(v, rest).core != g:
-                failures.append({"check": "amb-round-trip", "case": case, "word": word})
-    return failures, skipped
+def _print_discrepancies(discrepancies: list[dict]) -> None:
+    for d in discrepancies:
+        print(f"FAIL {d['check']} n={d['n']}: expected {d['expected']}, got {d['got']}")
 
 
 def _cmd_verify(args) -> int:
     if args.suite == "identities":
-        max_n = 6 if args.max_n is None else check_size(args.max_n, what="--max-n")
-        checks = _identity_checks(max_n)
-        bad = [c for c in checks if not c["ok"]]
+        max_n = 6 if args.max_n is None else check_size(args.max_n, high=CENSUS_MAX_N,
+                                                        what="--max-n")
+        results = list(checks.run(checks.IDENTITIES, max_n))
+        bad = checks.discrepancies(results)
         report = {"suite": "identities", "max_n": max_n,
-                  "checks_run": len(checks), "discrepancies": bad}
+                  "checks_run": len(results), "discrepancies": bad}
         if args.format == "json":
             _emit_json(report)
         else:
-            for c in bad:
-                print(f"FAIL {c['check']} n={c['n']}: expected {c['expected']}, got {c['got']}")
-            print(f"identities: {len(checks) - len(bad)}/{len(checks)} checks passed")
+            _print_discrepancies(bad)
+            print(f"identities: {len(results) - len(bad)}/{len(results)} checks passed")
         return 0 if not bad else 1
 
     if args.suite == "formulas":
-        report = counting.cross_check(318 if args.max_n is None else args.max_n)
+        report = checks.cross_check(318 if args.max_n is None else args.max_n)
         print(f"formulas: {report.elapsed_ms} ms", file=sys.stderr)  # keeps stdout stable
         if args.format == "json":
             _emit_json(report.to_json())
         else:
             print(f"formulas: checked to n={report.checked_to}, "
                   f"{len(report.discrepancies)} discrepancies")
-            for d in report.discrepancies:
-                print(f"FAIL {d['check']} n={d['n']}: expected {d['expected']}, got {d['got']}")
+            _print_discrepancies(report.discrepancies)
         return 0 if report.ok else 1
 
     # random
     max_n = 8 if args.max_n is None else check_size(args.max_n, what="--max-n")
-    failures, skipped = _random_checks(max_n, args.seed, check_size(args.cases, what="--cases"))
+    failures, skipped = checks.random_checks(max_n, args.seed,
+                                             check_size(args.cases, what="--cases"))
     report = {"suite": "random", "seed": args.seed, "cases": args.cases,
               "failures": failures}
     if skipped:

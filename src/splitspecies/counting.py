@@ -1,4 +1,4 @@
-"""Closed-form counters and cross-formula verification.
+"""Closed-form counters.
 
 Two independent formulas count labeled split graphs:
 
@@ -14,22 +14,16 @@ Two independent formulas count labeled split graphs:
   C(n,k)/(n-k+1) = C(n+1,k)/(n+1) put every fractional term over the one
   denominator n + 1, the inner j-sum runs by Horner's rule in 2^{k-1} - 1,
   and the fractional part's numerator must divide by n + 1 exactly.
-
-``cross_check`` compares the two for every n up to a bound -- hundreds of
-orders in a few seconds -- and also compares all formula- and series-derived
-counts against the exhaustive enumeration oracle at small n.
 """
 
 from __future__ import annotations
 
-import time
 from math import comb
 
 from .errors import NonIntegralResult, OutOfRange, check_size
-from .record import Record
-from .series import decimal, derive_labeled_chain, derive_unlabeled_chain
+from .series import derive_labeled_chain
 
-MAX_FORMULA_N = 500  # largest n_max of the formula checks (cross_check, check_b_ratio)
+MAX_FORMULA_N = 500  # largest n_max of the formula checks (checks.cross_check, check_b_ratio)
 
 
 def bicolored_labeled(n: int) -> int:
@@ -101,86 +95,3 @@ def unbalanced_labeled(n: int) -> int:
 def balanced_labeled(n: int) -> int:
     return split_labeled(n) - unbalanced_labeled(n)
 
-
-# ---------------------------------------------------------------------------
-# Cross check
-# ---------------------------------------------------------------------------
-
-class CrossCheckReport(Record):
-    """Outcome of ``cross_check``; ``elapsed_ms``, its wall time, stays out of the JSON form."""
-
-    __slots__ = _fields = ("checked_to", "discrepancies", "elapsed_ms")
-
-    def __init__(self, checked_to: int, discrepancies: list, elapsed_ms: int):
-        object.__setattr__(self, "checked_to", checked_to)
-        object.__setattr__(self, "discrepancies", discrepancies)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
-
-    @property
-    def ok(self) -> bool:
-        return not self.discrepancies
-
-    def to_json(self) -> dict:
-        return {"checked_to": self.checked_to, "discrepancies": self.discrepancies}
-
-
-def cross_check(max_n: int) -> CrossCheckReport:
-    """Verify the two split-graph formulas agree up to max_n, plus oracle checks.
-
-    Formula-vs-formula runs for 1 <= n <= max_n.  Formula and series counts
-    are also compared against exhaustive enumeration: labeled classes at
-    n <= min(max_n, 6), unlabeled identities at n <= min(max_n, 7).
-
-    Discrepancies are collected in the report, never raised.
-    """
-    check_size(max_n, high=MAX_FORMULA_N, what="max_n")
-    start = time.monotonic()
-    discrepancies = []
-
-    def mismatch(kind: str, n: int, expected, got):
-        discrepancies.append({
-            "check": kind, "n": n,
-            "expected": decimal(expected) if isinstance(expected, int) else str(expected),
-            "got": decimal(got) if isinstance(got, int) else str(got),
-        })
-
-    for n in range(1, max_n + 1):
-        direct = split_labeled(n)
-        bp = split_labeled_bp(n)
-        if direct != bp:
-            mismatch("split-formula-agreement", n, direct, bp)
-
-    from .enumeration import ClassTag, count_labeled as lab, count_unlabeled as unl
-
-    chain = derive_labeled_chain(8)
-    for n in range(0, min(max_n, 6) + 1):
-        checks = [
-            ("oracle-bicolored", bicolored_labeled(n), lab(n, ClassTag.BICOLORED)),
-            ("oracle-split", split_labeled(n), lab(n, ClassTag.SPLIT)),
-            ("oracle-unbalanced", chain["U"][n], lab(n, ClassTag.UNBALANCED)),
-            ("oracle-balanced", chain["B"][n], lab(n, ClassTag.BALANCED)),
-            ("oracle-split-series", chain["S"][n], lab(n, ClassTag.SPLIT)),
-            ("oracle-colored-split", chain["cS"][n], lab(n, ClassTag.COLORED_SPLIT)),
-            ("oracle-colored-equals-bicolored-star", lab(n, ClassTag.COLORED_SPLIT),
-             lab(n, ClassTag.BICOLORED_NO_ISOLATED_GREEN)),
-        ]
-        for kind, expected, got in checks:
-            if expected != got:
-                mismatch(kind, n, expected, got)
-
-    top = min(max_n, 7)
-    base = [unl(n, ClassTag.SPLIT) for n in range(top + 1)]
-    unlabeled = derive_unlabeled_chain(top, base)
-    for n in range(0, top + 1):
-        checks = [
-            ("oracle-unlabeled-unbalanced", unlabeled["U"][n], unl(n, ClassTag.UNBALANCED)),
-            ("oracle-unlabeled-bicolored", unlabeled["BC"][n], unl(n, ClassTag.BICOLORED)),
-            ("oracle-unlabeled-colored-split", unl(n, ClassTag.SPLIT),
-             unl(n, ClassTag.COLORED_SPLIT)),
-        ]
-        for kind, expected, got in checks:
-            if expected != got:
-                mismatch(kind, n, expected, got)
-
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    return CrossCheckReport(max_n, discrepancies, elapsed_ms)

@@ -309,6 +309,64 @@ def test_verify_random(capsys):
     assert data["failures"] == [] and data["seed"] == 3
 
 
+def _failed_checks(out: str) -> set[tuple[str, int]]:
+    return {(d["check"], d["n"]) for d in json.loads(out)["discrepancies"]}
+
+
+def test_an_off_by_one_oracle_count_fails_both_suites(capsys, monkeypatch):
+    """One labeled ambiguous count one too high at n = 4 breaks the two rows
+    that read it, in both suites, and each prints them as FAIL lines."""
+    from splitspecies import enumeration
+    from splitspecies.enumeration import ClassTag
+
+    count = enumeration.count_labeled
+    monkeypatch.setattr(enumeration, "count_labeled",
+                        lambda n, tag: count(n, tag) + ((n, tag) == (4, ClassTag.AMBIGUOUS)))
+    fail_lines = ["FAIL labeled-unbalanced-partition n=4: expected 46, got 47",
+                  "FAIL labeled-ambiguous-convolution n=4: expected 0, got 1"]
+    for suite in ("identities", "formulas"):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-n", "7")
+        assert code == 1
+        assert _failed_checks(out) == {("labeled-unbalanced-partition", 4),
+                                       ("labeled-ambiguous-convolution", 4)}
+        assert all("ok" not in d for d in json.loads(out)["discrepancies"])
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-n", "7",
+                               "--format", "text")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == fail_lines
+
+
+def test_an_off_by_one_closed_form_fails_both_suites(capsys, monkeypatch):
+    """b_3 one too high breaks the closed-form rows at n = 3 (and s_4, which
+    reads b_3); the formulas suite also sees the double sum disagree."""
+    from splitspecies import counting
+
+    bicolored = counting.bicolored_labeled
+    monkeypatch.setattr(counting, "bicolored_labeled", lambda n: bicolored(n) + (n == 3))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "7")
+    assert code == 1
+    assert _failed_checks(out) == {("labeled-bicolored-formula", 3),
+                                   ("labeled-split-formula", 3), ("labeled-split-formula", 4)}
+    code, out, _ = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "7")
+    assert code == 1
+    failed = _failed_checks(out)
+    assert {("split-formula-agreement", 3), ("labeled-bicolored-formula", 3),
+            ("oracle-split-series", 3)} <= failed
+    assert min(n for _, n in failed) == 3
+
+
+def test_verify_identities_refuses_past_the_census_before_any_work(capsys, monkeypatch):
+    from splitspecies import enumeration
+
+    def refuse(*args):
+        raise AssertionError("a census was built before --max-n was checked")
+
+    for name in ("count_labeled", "count_unlabeled", "_split_data"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "8")
+    assert (code, out, err) == (3, "", "error: --max-n is capped at 7, got 8\n")
+
+
 @pytest.mark.parametrize("max_n", [2, 3])
 def test_verify_random_small_max_n(capsys, monkeypatch, max_n):
     """No ambiguous graph exists at n = 2, 3: those round trips are skipped
@@ -409,6 +467,7 @@ BAD_INVOCATIONS = {
         ["enumerate", "--class", "split", "--n", "3", "--format", "jsonl"], None, 2),
     "verify-negative-max-n": (["verify", "--suite", "identities", "--max-n", "-1"], None, 3),
     "verify-negative-cases": (["verify", "--suite", "random", "--cases", "-5"], None, 3),
+    "verify-identities-past-census": (["verify", "--suite", "identities", "--max-n", "8"], None, 3),
     "asym-negative-max-n": (["asym", "--max-n", "-1"], None, 3),
     "asym-bits-option": (["asym", "--max-n", "5", "--bits", "256"], None, 2),
     "asym-base-zero": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],

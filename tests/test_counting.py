@@ -9,13 +9,13 @@ from splitspecies.counting import (
     bicolored_labeled,
     balanced_labeled,
     chain_count,
-    cross_check,
-    decimal,
     split_labeled,
     split_labeled_bp,
     unbalanced_labeled,
 )
+from splitspecies.checks import cross_check
 from splitspecies.errors import NonIntegralResult
+from splitspecies.series import decimal
 
 from conftest import BC_LABELED, S_LABELED, U_LABELED
 

@@ -7,7 +7,8 @@ are caller data, never an InternalError.
 
 import pytest
 
-from splitspecies import asymptotics, bijections, counting, enumeration, graphs, series, structure
+from splitspecies import (asymptotics, bijections, checks, counting, enumeration, graphs, series,
+                          structure)
 from splitspecies.asymptotics import MAX_BITS, MIN_BITS
 from splitspecies.counting import MAX_FORMULA_N
 from splitspecies.enumeration import CENSUS_MAX_N, SPLIT_MAX_N, ClassTag
@@ -43,7 +44,7 @@ BOUNDARY = {
     "split-bp-zero": (lambda: counting.split_labeled_bp(0), OutOfRange),
     "chain-count-negative": (lambda: counting.chain_count("U", -1), OutOfRange),
     "unbalanced-negative": (lambda: counting.unbalanced_labeled(-1), OutOfRange),
-    "cross-check-negative": (lambda: counting.cross_check(-1), OutOfRange),
+    "cross-check-negative": (lambda: checks.cross_check(-1), OutOfRange),
     "labeled-chain-negative": (lambda: series.derive_labeled_chain(-1), OutOfRange),
     "asymptotic-zero": (lambda: asymptotics.asymptotic_bicolored(0), OutOfRange),
     "b-ratio-negative": (lambda: asymptotics.check_b_ratio(-1), OutOfRange),
@@ -60,7 +61,7 @@ BOUNDARY = {
     "series-name": (lambda: series.named("E", series.EGF, 3), OutOfRange),
     "chain-count-key": (lambda: counting.chain_count("X", 3), OutOfRange),
     # each named cap at cap + 1
-    "cross-check-cap": (lambda: counting.cross_check(MAX_FORMULA_N + 1), TooLarge),
+    "cross-check-cap": (lambda: checks.cross_check(MAX_FORMULA_N + 1), TooLarge),
     "b-ratio-cap": (lambda: asymptotics.check_b_ratio(MAX_FORMULA_N + 1), TooLarge),
     "labeled-chain-cap": (lambda: series.derive_labeled_chain(MAX_CHAIN_ORDER + 1), TooLarge),
     "chain-count-cap": (lambda: counting.chain_count("S", MAX_CHAIN_ORDER + 1), TooLarge),
@@ -155,7 +156,7 @@ def test_check_size():
 
 def test_sizes_at_the_bounds_still_work():
     assert counting.split_labeled_bp(1) == 1
-    assert counting.cross_check(0).ok
+    assert checks.cross_check(0).ok
     assert asymptotics.check_b_ratio(0) == []
     assert asymptotics.ratio_report(0).rows == []
     assert [r.n for r in asymptotics.ratio_report(2).rows] == [1, 2]

@@ -65,3 +65,41 @@ def test_no_module_level_json_import_in_package():
             if any(name.split(".")[0] == "json" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _package_imports(path: pathlib.Path) -> set[str]:
+    """The package modules one module imports, at module level or inside functions."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the package
+                module = f"splitspecies.{module}" if module else "splitspecies"
+            targets = ([f"{module}.{alias.name}" for alias in node.names]
+                       if module == "splitspecies" else [module])
+        else:
+            continue
+        found.update(t.split(".")[1] for t in targets if t.startswith("splitspecies."))
+    return found
+
+
+# module -> package modules it must never import
+ROUTE_BLINDNESS = {
+    "counting": {"enumeration"},
+    "series": {"enumeration"},
+    "enumeration": {"counting", "series", "asymptotics", "checks"},
+}
+
+
+def test_routes_stay_blind_to_each_other():
+    """The cross-route checks live in ``checks``, which only the command line
+    (and the package namespace, for ``cross_check``) imports; the closed forms
+    and the series chain never reach into the oracle, nor the oracle into them."""
+    imports = {path.stem: _package_imports(path) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = [f"{module} imports checks" for module, names in imports.items()
+             if "checks" in names and module not in ("cli", "__init__")]
+    for module, banned in ROUTE_BLINDNESS.items():
+        found += [f"{module} imports {name}" for name in sorted(imports[module] & banned)]
+    assert found == []
