@@ -3,7 +3,8 @@ verification suites, and asymptotic reports, all with machine-readable output.
 
 Exit codes: 0 success, 1 a verification suite found a discrepancy, 2 usage
 error, 3 invalid input (too large, not a split graph, wrong class, malformed
-file, negative size, ...), 4 a failed internal invariant (a bug).
+file, negative size, ...), 4 a failed internal invariant (a bug), 141 the
+reader of stdout closed it early (128 + SIGPIPE, as for ``| head``).
 
 Counts are printed as decimal strings, since they overflow 64-bit integers
 almost immediately.  Identical invocations produce byte-identical output on
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from . import checks, counting
@@ -267,7 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): whatever is still buffered
+        # goes to the null device, so the interpreter's final flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except SplitSpeciesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,8 +12,11 @@ Two independent formulas count labeled split graphs:
   whose inner terms are genuinely fractional.  It is evaluated term by term
   in integers: the identities C(m,j)/(j+1) = C(m+1,j+1)/(m+1) and
   C(n,k)/(n-k+1) = C(n+1,k)/(n+1) put every fractional term over the one
-  denominator n + 1, the inner j-sum runs by Horner's rule in 2^{k-1} - 1,
-  and the fractional part's numerator must divide by n + 1 exactly.
+  denominator n + 1, and (n+1) C(n,k-1) = k C(n+1,k) puts the whole term
+  of k - 1, C(n,k-1) (2^{k-1} - 1)^{n-k+1}, over it with the same factor as
+  the j-sum of k.  Both have the base 2^{k-1} - 1, so one Horner pass per k
+  evaluates the pair, with no separate power, and the numerator of the
+  total must divide by n + 1 exactly.
 """
 
 from __future__ import annotations
@@ -53,26 +56,35 @@ def split_labeled(n: int) -> int:
 def split_labeled_bp(n: int) -> int:
     """Labeled split graphs by the double-sum formula, term by exact term.
 
+    One Horner pass per k, in x = 2^{k-1} - 1 with m = n - k, evaluates the
+    j-sum of k together with the whole term of k - 1, C(n,k-1) x^{m+1},
+    which has the same base.  The j-sum of k is k C(n+1,k)/(n+1) times
+    sum_j t_j x^{m-j}, t_j = j C(m+1,j+1) (see the module docstring), and
+    (n+1) C(n,k-1) = k C(n+1,k) puts the whole term over the same factor, so
+    the pass runs over the coefficients [1, 0, -t_1, ..., -t_m].  The pass of
+    k = 2 starts at 0 (the whole terms start at k = 2); the whole term of
+    k = n, (2^n - 1)^0, is the constant 1 added with the leading 1.
+
     Raises NonIntegralResult if the total fails to come out an integer
     (which would mean an implementation error, not an input error).
     """
     check_size(n, low=1)
-    whole = 1
-    frac = 0  # the fractional terms, all over the one denominator n + 1
+    total = 0  # every pass, all over the one denominator n + 1
     for k in range(2, n + 1):
         m = n - k
-        whole += comb(n, k) * ((1 << k) - 1) ** m
-        acc = 0  # sum_j j C(m+1, j+1) (2^{k-1} - 1)^{m-j}, by Horner's rule
+        s = k - 1
+        # Horner's rule from 1*x + 0 (0 at k = 2) to x^{m+1} - sum_j t_j x^{m-j}
+        acc = (1 << s) - 1 if k > 2 else 0
         c = m + 1  # C(m+1, j) before the update below, C(m+1, j+1) after it
         for j in range(1, m + 1):
             c = c * (m + 1 - j) // (j + 1)
-            acc = (acc << (k - 1)) - acc + j * c  # acc * (2^{k-1} - 1) + term
-        frac += k * comb(n + 1, k) * acc
-    quotient, remainder = divmod(frac, n + 1)
+            acc = (acc << s) - acc - j * c  # acc * x - t_j
+        total += k * comb(n + 1, k) * acc
+    quotient, remainder = divmod(total, n + 1)
     if remainder:
         raise NonIntegralResult(f"double-sum total for n={n} leaves remainder "
                                 f"{remainder} mod {n + 1}")
-    return whole - quotient
+    return quotient + min(n, 2)  # the leading 1, and the whole term of k = n when n >= 2
 
 
 def chain_count(key: str, n: int, *, upto: bool = False) -> int | list[int]:

@@ -424,6 +424,27 @@ def test_unknown_class_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--class", "split", "--n", "6"),
+    ("count", "--class", "split", "--labeled", "--max-n", "300"),
+])
+def test_a_reader_that_closes_the_pipe_early_gets_141_and_no_traceback(argv):
+    """As under ``| head -1``: the reader takes one line of output far larger
+    than a pipe's buffer, then closes the pipe."""
+    src = os.path.dirname(os.path.dirname(splitspecies.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "splitspecies.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+    assert first.endswith(b"\n")
+
+
 def test_missing_file_exits_3(capsys):
     code, _, err = run_cli(capsys, "classify", "--graph", "/nonexistent/file.g")
     assert code == 3

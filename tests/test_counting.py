@@ -1,11 +1,13 @@
 """Closed-form counters, the double-sum formula, and the cross check."""
 
 import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from splitspecies.counting import (
+    MAX_FORMULA_N,
     bicolored_labeled,
     balanced_labeled,
     chain_count,
@@ -60,6 +62,28 @@ def test_split_labeled_bp_rejects_a_non_integral_total(monkeypatch):
 
 @pytest.mark.parametrize("n", list(range(1, 41)))
 def test_formulas_agree_small(n):
+    assert split_labeled_bp(n) == split_labeled(n)
+
+
+def _double_sum_as_printed(n):
+    """1 + sum_{k=2}^n C(n,k) [(2^k - 1)^{n-k}
+    - sum_{j=1}^{n-k} (jk/(j+1)) C(n-k,j) (2^{k-1} - 1)^{n-k-j}], in Fractions."""
+    return 1 + sum(comb(n, k) * ((2**k - 1) ** (n - k)
+                                 - sum(Fraction(j * k, j + 1) * comb(n - k, j)
+                                       * (2 ** (k - 1) - 1) ** (n - k - j)
+                                       for j in range(1, n - k + 1)))
+                   for k in range(2, n + 1))
+
+
+def test_split_labeled_bp_is_the_double_sum_as_printed():
+    """The paired Horner passes give the formula's own value, term order aside."""
+    for n in range(1, 41):
+        assert split_labeled_bp(n) == _double_sum_as_printed(n), n
+
+
+@pytest.mark.parametrize("n", [2, 3, MAX_FORMULA_N])
+def test_formulas_agree_at_the_ends(n):
+    """Both ends of the range: the first passes (k = 2 starts at 0) and the cap."""
     assert split_labeled_bp(n) == split_labeled(n)
 
 
