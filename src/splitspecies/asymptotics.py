@@ -204,15 +204,6 @@ class RatioRow(Record):
 
     __slots__ = _fields = ("n", "b_ratio", "s_over_b", "u_over_s", "bound", "bound_holds")
 
-    def __init__(self, n: int, b_ratio: str, s_over_b: str, u_over_s: str, bound: str,
-                 bound_holds: bool):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "b_ratio", b_ratio)
-        object.__setattr__(self, "s_over_b", s_over_b)
-        object.__setattr__(self, "u_over_s", u_over_s)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "bound_holds", bound_holds)
-
 
 class UnlabeledRatioRow(Record):
     """One unlabeled row; ``scaled_labeled``, b~_n * n! / b_n, is observational only.
@@ -221,25 +212,11 @@ class UnlabeledRatioRow(Record):
     __slots__ = _fields = ("n", "s_tilde", "b_tilde", "u_tilde", "s_over_b", "u_over_s",
                            "scaled_labeled")
 
-    def __init__(self, n: int, s_tilde: int, b_tilde: int, u_tilde: int, s_over_b: str,
-                 u_over_s: str, scaled_labeled: str):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s_tilde", s_tilde)
-        object.__setattr__(self, "b_tilde", b_tilde)
-        object.__setattr__(self, "u_tilde", u_tilde)
-        object.__setattr__(self, "s_over_b", s_over_b)
-        object.__setattr__(self, "u_over_s", u_over_s)
-        object.__setattr__(self, "scaled_labeled", scaled_labeled)
-
 
 class RatioReport(Record):
     """The rows of ``ratio_report``, labeled and (optionally) unlabeled."""
 
     __slots__ = _fields = ("rows", "unlabeled_rows")
-
-    def __init__(self, rows: list[RatioRow], unlabeled_rows: list[UnlabeledRatioRow]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "unlabeled_rows", unlabeled_rows)
 
     def to_json(self) -> dict:
         return {"rows": [dict(zip(r._fields, r._values)) for r in self.rows],

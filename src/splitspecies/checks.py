@@ -2,10 +2,10 @@
 
 A row is ``(name, least n, expected(n), got(n))``: two routes to one count, or
 two sides of one identity, that must agree at every n from the least on.  Rows
-reach the routes through their modules at call time, so a route replaced on its
-module is the one checked.  This module imports every route and no route
-imports it, so the closed forms, the series chain and the oracle stay blind to
-each other.
+and the random checks reach the routes through their modules at call time, so
+a route replaced on its module is the one checked.  This module imports every
+route and no route imports it, so the closed forms, the series chain and the
+oracle stay blind to each other.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ import random
 import time
 from math import comb
 
-from . import counting, enumeration, series
-from .bijections import (amb_compose, amb_decompose, bicolored_to_split, cuk_compose,
-                         cuk_decompose, split_to_bicolored, uk_compose, uk_decompose)
+from . import bijections, counting, enumeration, graphs, series, structure
 from .enumeration import CENSUS_MAX_N, ClassTag as T
 from .errors import check_size
-from .graphs import Graph
 from .record import Record
 
 
@@ -101,11 +98,6 @@ class CrossCheckReport(Record):
 
     __slots__ = _fields = ("checked_to", "discrepancies", "elapsed_ms")
 
-    def __init__(self, checked_to: int, discrepancies: list, elapsed_ms: int):
-        object.__setattr__(self, "checked_to", checked_to)
-        object.__setattr__(self, "discrepancies", discrepancies)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
-
     @property
     def ok(self) -> bool:
         return not self.discrepancies
@@ -135,35 +127,29 @@ def random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[d
     Returns the failures and the round trips skipped because their class has
     no graphs at size min(max_n, 7).
     """
-    from .enumeration import _AMB, _KCAN, _split_data
-    from .graphs import complement, is_split, make_graph, relabel
-
     rng = random.Random(seed)
     failures = []
 
-    def subset_oracle(g: Graph) -> bool:
+    def subset_oracle(g: graphs.Graph) -> bool:
         full = g.vertex_mask()
-        from .structure import is_clique, is_stable
-
-        return any(is_clique(g, km) and is_stable(g, full ^ km) for km in range(full + 1))
+        return any(structure.is_clique(g, km) and structure.is_stable(g, full ^ km)
+                   for km in range(full + 1))
 
     for case in range(cases):
         n = rng.randint(0, min(max_n, 8))
         edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
-        g = make_graph(n, edges)
-        if is_split(g) != subset_oracle(g):
+        g = graphs.make_graph(n, edges)
+        if graphs.is_split(g) != subset_oracle(g):
             failures.append({"check": "split-test-vs-subset-oracle", "case": case,
                              "graph": g.to_json()})
-        if is_split(g) != is_split(complement(g)):
+        if graphs.is_split(g) != graphs.is_split(graphs.complement(g)):
             failures.append({"check": "split-complement-closure", "case": case,
                              "graph": g.to_json()})
 
     n = min(max_n, 7)
-    data = _split_data(n)
-    from .structure import all_colorings
-
-    kcanonical = [w for w, cls in zip(data.words, data.classes) if cls == _KCAN]
-    ambiguous = [w for w, cls in zip(data.words, data.classes) if cls == _AMB]
+    data = enumeration._split_data(n)
+    kcanonical = [w for w, cls in zip(data.words, data.classes) if cls == enumeration._KCAN]
+    ambiguous = [w for w, cls in zip(data.words, data.classes) if cls == enumeration._AMB]
     skipped = []
     if not kcanonical:
         skipped.append({"class": "k-canonical", "n": n, "checks": [
@@ -173,27 +159,27 @@ def random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[d
     for case in range(cases):
         if kcanonical:
             word = rng.choice(kcanonical)
-            g = Graph.from_edge_word(n, word)
-            a, rest = uk_decompose(g)
-            if uk_compose(a, rest).core != g:
+            g = graphs.Graph.from_edge_word(n, word)
+            a, rest = bijections.uk_decompose(g)
+            if bijections.uk_compose(a, rest).core != g:
                 failures.append({"check": "uk-round-trip", "case": case, "word": word})
             p = list(range(n))
             rng.shuffle(p)
-            a2, rest2 = uk_decompose(relabel(g, p))
+            a2, rest2 = bijections.uk_decompose(graphs.relabel(g, p))
             if a2 != tuple(sorted(p[v] for v in a)) or rest2 != rest.relabeled(p):
                 failures.append({"check": "uk-equivariance", "case": case, "word": word})
-            colored = rng.choice(all_colorings(g))
-            ps, crest = cuk_decompose(colored)
-            if cuk_compose(ps, crest).core != colored:
+            colored = rng.choice(structure.all_colorings(g))
+            ps, crest = bijections.cuk_decompose(colored)
+            if bijections.cuk_compose(ps, crest).core != colored:
                 failures.append({"check": "cuk-round-trip", "case": case, "word": word})
-            back = bicolored_to_split(split_to_bicolored(colored))
+            back = bijections.bicolored_to_split(bijections.split_to_bicolored(colored))
             if back != colored:
                 failures.append({"check": "bicolored-round-trip", "case": case, "word": word})
 
         if ambiguous:
             word = rng.choice(ambiguous)
-            g = Graph.from_edge_word(n, word)
-            v, rest = amb_decompose(g)
-            if amb_compose(v, rest).core != g:
+            g = graphs.Graph.from_edge_word(n, word)
+            v, rest = bijections.amb_decompose(g)
+            if bijections.amb_compose(v, rest).core != g:
                 failures.append({"check": "amb-round-trip", "case": case, "word": word})
     return failures, skipped

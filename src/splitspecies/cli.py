@@ -3,8 +3,9 @@ verification suites, and asymptotic reports, all with machine-readable output.
 
 Exit codes: 0 success, 1 a verification suite found a discrepancy, 2 usage
 error, 3 invalid input (too large, not a split graph, wrong class, malformed
-file, negative size, ...), 4 a failed internal invariant (a bug), 141 the
-reader of stdout closed it early (128 + SIGPIPE, as for ``| head``).
+file, negative size, ...), 4 a failed internal invariant (a bug), 74 stdout
+cannot take the output (a full disk, ...: ``EX_IOERR``), 141 the reader of
+stdout closed it early (128 + SIGPIPE, as for ``| head``).
 
 Counts are printed as decimal strings, since they overflow 64-bit integers
 almost immediately.  Identical invocations produce byte-identical output on
@@ -266,19 +267,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout at the null device: whatever is still buffered goes there,
+    so the interpreter's final flush is silent."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         status = args.func(args)
-        sys.stdout.flush()  # a reader that left early shows here, not at interpreter exit
+        sys.stdout.flush()  # a failed write shows here, not at interpreter exit
         return status
-    except BrokenPipeError:
-        # the reader closed the pipe (``| head``): whatever is still buffered
-        # goes to the null device, so the interpreter's final flush is silent
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # the reader closed the pipe (``| head``)
+        _drop_stdout()
         return 141  # 128 + SIGPIPE
+    except OSError as exc:  # unreadable input is MalformedInput, so this is stdout
+        _drop_stdout()
+        print(f"error: cannot write output ({exc.strerror or exc})", file=sys.stderr)
+        return 74  # EX_IOERR
     except SplitSpeciesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

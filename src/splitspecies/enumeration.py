@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import os
 import re
 import sys
 from array import array
@@ -151,12 +152,6 @@ class _SplitData(Record):
     """
 
     __slots__ = _fields = ("words", "classes", "swings", "kmax")
-
-    def __init__(self, words: array, classes: array, swings: array, kmax: array):
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "swings", swings)
-        object.__setattr__(self, "kmax", kmax)
 
 
 @lru_cache(maxsize=16)
@@ -402,11 +397,6 @@ class Census(Record):
 
     __slots__ = _fields = ("n", "labeled", "unlabeled")
 
-    def __init__(self, n: int, labeled: dict, unlabeled: dict):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labeled", labeled)
-        object.__setattr__(self, "unlabeled", unlabeled)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -515,7 +505,6 @@ def count_unlabeled(n: int, tag: ClassTag) -> int:
 def write_census_files(directory: str, max_n: int = 7):
     """Regenerate the golden census files census-n{0..max_n}.json."""
     import json
-    import os
 
     for n in range(max_n + 1):
         path = os.path.join(directory, f"census-n{n}.json")

@@ -2,10 +2,12 @@
 
 A subclass stores its attributes in ``__slots__`` and names in ``_fields``
 the ones that make up its value, in constructor order: two or more, and all
-of its attributes unless some are derived from the others.  Its
-``__init__`` validates the arguments and stores each attribute with
-``object.__setattr__``, because plain assignment raises AttributeError.
-Two values are equal iff they are of the same class with equal fields; hash,
+of its attributes unless some are derived from the others.  ``__init__``
+takes the fields by position or by name; types made once per edge word,
+partition or graph keep an explicit one, twice as fast (487 ns against 970 ns
+per ``Graph``, CPython 3.11), as do those that validate.  Each stores with
+``object.__setattr__``, since plain assignment raises AttributeError.  Two
+values are equal iff they are of the same class with equal fields; hash,
 ``repr`` and pickling follow the fields.
 """
 
@@ -25,6 +27,17 @@ class Record:
         # the fields as one tuple, read in C: equality and hash run on every
         # comparison of graphs and their pieces
         cls._values = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        try:
+            values += tuple(named.pop(field) for field in fields[len(values):])
+        except KeyError as exc:
+            raise TypeError(f"{type(self).__name__}() missing field {exc}") from None
+        if named or len(values) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes only the fields {', '.join(fields)}")
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

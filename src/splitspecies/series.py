@@ -84,10 +84,6 @@ class RationalSeries(Record):
 
     __slots__ = _fields = ("coeffs", "convention")
 
-    def __init__(self, coeffs: tuple[Fraction, ...], convention: str):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "convention", convention)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

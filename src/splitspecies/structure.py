@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 
 from .errors import BrokenInvariant, NotAPartition, NotSMax, NotSplit, check_size
-from .graphs import MAX_VERTICES, Graph, TwoColoredGraph, bits_of, mask_of
+from .graphs import MAX_VERTICES, Graph, TwoColoredGraph, bits_of, complement, mask_of
 from .record import Record
 
 KIND_EMPTY = "empty"
@@ -157,8 +157,6 @@ def clique_number(g: Graph) -> int:
 
 def independence_number(g: Graph) -> int:
     """alpha(g) = omega of the complement."""
-    from .graphs import complement
-
     return clique_number(complement(g))
 
 

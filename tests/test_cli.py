@@ -424,6 +424,15 @@ def test_unknown_class_exits_2():
     assert exc.value.code == 2
 
 
+def _cli_process(argv, stdout):
+    """The CLI in a fresh interpreter, on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(splitspecies.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "splitspecies.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--class", "split", "--n", "6"),
     ("count", "--class", "split", "--labeled", "--max-n", "300"),
@@ -431,11 +440,7 @@ def test_unknown_class_exits_2():
 def test_a_reader_that_closes_the_pipe_early_gets_141_and_no_traceback(argv):
     """As under ``| head -1``: the reader takes one line of output far larger
     than a pipe's buffer, then closes the pipe."""
-    src = os.path.dirname(os.path.dirname(splitspecies.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "splitspecies.cli", *argv],
-                            env=dict(os.environ, PYTHONPATH=path),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = _cli_process(argv, subprocess.PIPE)
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
@@ -443,6 +448,22 @@ def test_a_reader_that_closes_the_pipe_early_gets_141_and_no_traceback(argv):
     assert proc.wait() == 141
     assert err == b""
     assert first.endswith(b"\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("count", "--class", "split", "--labeled", "--n", "3"),
+    ("enumerate", "--class", "split", "--n", "6"),
+])
+def test_a_full_disk_on_stdout_exits_74_with_one_error_line(argv):
+    """Output to /dev/full fails every write with ENOSPC: the status is
+    EX_IOERR, not 1 (a found discrepancy), and stderr holds no traceback."""
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(argv, full)
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 74
+    assert err.startswith("error: cannot write output (") and len(err.splitlines()) == 1
 
 
 def test_missing_file_exits_3(capsys):

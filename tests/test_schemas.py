@@ -4,7 +4,9 @@ import json
 import os
 
 import jsonschema
+import pytest
 
+from splitspecies import bijections, graphs
 from splitspecies.cli import main
 
 from conftest import TESTDATA
@@ -67,3 +69,44 @@ def test_census_golden_files_match_schema():
     for n in range(8):
         with open(os.path.join(TESTDATA, f"census-n{n}.json")) as f:
             jsonschema.validate(json.load(f), schema)
+
+
+def test_verify_random_schema(capsys, monkeypatch):
+    for max_n in ("1", "2", "6"):  # k-canonical round trips skipped, ambiguous ones, none
+        data = cli_json(capsys, "verify", "--suite", "random", "--max-n", max_n, "--cases", "5")
+        jsonschema.validate(data, load_schema("verify-random.schema.json"))
+    # failures of both kinds: on a random graph, and on a round trip's edge word
+    monkeypatch.setattr(graphs, "is_split", lambda g: False)
+    monkeypatch.setattr(bijections, "amb_compose", lambda v, rest: rest)
+    assert main(["verify", "--suite", "random", "--max-n", "5", "--cases", "5"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert {"graph", "word"} <= {key for failure in data["failures"] for key in failure}
+    jsonschema.validate(data, load_schema("verify-random.schema.json"))
+
+
+# (map, option, file name, content): the graphs of the biject tests in
+# test_cli.py, an ambiguous graph (P4 and a vertex joined to its middle) and
+# a colored triangle
+BIJECT_INPUTS = [
+    ("uk-decompose", "--graph", "k2.g", "2\n0 1\n"),
+    ("amb-decompose", "--graph", "amb.g", "5\n0 1\n1 2\n2 3\n1 4\n2 4\n"),
+    ("cuk-decompose", "--input", "k3.json",
+     '{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "green": [0, 1], "red": [2]}'),
+    ("split-to-bicolored", "--input", "colored.json",
+     '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "green": [1, 2], "red": [0, 3]}'),
+    ("bicolored-to-split", "--input", "bicolored.json",
+     '{"n": 4, "edges": [[0, 1], [2, 3]], "green": [1, 2], "red": [0, 3]}'),
+]
+
+
+def test_biject_schema(capsys, tmp_path):
+    schema = load_schema("biject.schema.json")
+    for name, option, filename, content in BIJECT_INPUTS:
+        path = os.path.join(tmp_path, filename)
+        with open(path, "w") as f:
+            f.write(content)
+        data = cli_json(capsys, "biject", "--map", name, option, path)
+        assert data["map"] == name
+        jsonschema.validate(data, schema)
+        with pytest.raises(jsonschema.ValidationError):  # each branch names its map
+            jsonschema.validate({**data, "map": "no-such-map"}, schema)
