@@ -4,8 +4,8 @@ A subclass stores its attributes in ``__slots__`` and names in ``_fields``
 the ones that make up its value, in constructor order: two or more, and all
 of its attributes unless some are derived from the others.  ``__init__``
 takes the fields by position or by name; types made once per edge word,
-partition or graph keep an explicit one, twice as fast (487 ns against 970 ns
-per ``Graph``, CPython 3.11), as do those that validate.  Each stores with
+partition or graph keep an explicit one, about 2.8 times as fast per ``Graph``
+on CPython 3.11, as do those that validate.  Each stores with
 ``object.__setattr__``, since plain assignment raises AttributeError.  Two
 values are equal iff they are of the same class with equal fields; hash,
 ``repr`` and pickling follow the fields.
