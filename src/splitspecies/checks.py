@@ -69,6 +69,10 @@ TABLE = IDENTITIES + (
     ("oracle-split-series", 0, lambda n: counting.chain_count("S", n), lambda n: _lab(n, T.SPLIT)),
     ("oracle-colored-split", 0, lambda n: counting.chain_count("cS", n),
      lambda n: _lab(n, T.COLORED_SPLIT)),
+    ("oracle-k-canonical", 0, lambda n: counting.chain_count("UK", n),
+     lambda n: _lab(n, T.K_CANONICAL)),
+    ("oracle-ambiguous", 0, lambda n: counting.chain_count("Uamb", n),
+     lambda n: _lab(n, T.AMBIGUOUS)),
 )
 
 # the two closed forms of the labeled split count, past the oracle's reach

@@ -55,7 +55,8 @@ _ENUMERATE_BLOCK = 4096  # lines per write of ``enumerate``
 
 
 def _json_encoder():
-    """The sorted compact encoder of every JSON output; json loads only here."""
+    """The sorted compact encoder of every JSON report (``enumerate`` builds its
+    lines from keys); json loads only here and where JSON is read."""
     import json
 
     return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -95,9 +96,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    tag = ClassTag(args.klass)
-    encode = _json_encoder()
-    lines = (encode(structure.to_json()) for structure in enumerate_labeled(args.n, tag))
+    lines = enumerate_labeled(args.n, ClassTag(args.klass), lines=True)
     while block := list(itertools.islice(lines, _ENUMERATE_BLOCK)):
         sys.stdout.write("\n".join(block) + "\n")
     return 0

@@ -20,9 +20,10 @@ The oracle never consults the series or the closed forms.  The tests check
 the generated split graphs against the Hammer-Simeone degree test and a
 subset scan, and the classes against the swing analysis of ``structure``.
 
-A labeled structure is one integer key, (edge word << n) | green mask, with
-green mask 0 for a plain graph.  Unlabeled structures are counted as orbits
-under vertex relabeling.  Orbit counting takes a word-indexed table of
+A labeled two-colored structure is one integer key, (edge word << n) | green
+mask, and a plain graph is keyed by its edge word.  ``enumerate_labeled``
+turns keys into objects, or into JSON lines through tables of text.
+Unlabeled structures are counted as orbits under vertex relabeling.  Orbit counting takes a word-indexed table of
 flags and, at each word still flagged, generates its whole orbit from a
 permutation table that packs the images of one edge bit under every
 relabeling into the lanes of one Python integer.  Each orbit is counted
@@ -69,6 +70,8 @@ class ClassTag(enum.Enum):
 _GRAPH_TAGS = (ClassTag.ALL_GRAPHS, ClassTag.SPLIT)
 _CLASSIFIED_TAGS = (ClassTag.BALANCED, ClassTag.UNBALANCED, ClassTag.K_CANONICAL,
                     ClassTag.S_CANONICAL, ClassTag.AMBIGUOUS)
+_TWO_COLORED_TAGS = (ClassTag.COLORED_SPLIT, ClassTag.BICOLORED,
+                     ClassTag.BICOLORED_NO_ISOLATED_GREEN)
 
 # class codes used in the packed per-graph arrays
 _BAL, _AMB, _KCAN, _SCAN = 0, 1, 2, 3
@@ -446,33 +449,103 @@ def colored_kcanonical_labeled(n: int) -> int:
 # Public enumeration API
 # ---------------------------------------------------------------------------
 
-def enumerate_labeled(n: int, tag: ClassTag) -> Iterator:
+def _labeled_keys(n: int, tag: ClassTag) -> Iterable[int]:
+    """Keys of the class in enumeration order: edge words for the graph
+    classes, (edge word << n) | green mask for the two-colored ones."""
+    if tag is ClassTag.ALL_GRAPHS:
+        return range(1 << _edge_count(n))
+    if tag is ClassTag.SPLIT:
+        return _split_words(n)
+    if tag in _CLASSIFIED_TAGS:
+        data = _split_data(n)
+        wanted = {_AMB, _KCAN, _SCAN} if tag is ClassTag.UNBALANCED else {_CLS_OF_TAG[tag]}
+        return (w for w, cls in zip(data.words, data.classes) if cls in wanted)
+    if tag is ClassTag.COLORED_SPLIT:
+        return _checked_keys(n, tag, _colored_split_keys(n))
+    return _checked_keys(n, tag, _bicolored_keys(n, tag))
+
+
+def _checked_keys(n: int, tag: ClassTag, keys: Iterable[int]) -> Iterator[int]:
+    """Each two-colored key, after the check its class's constructor makes.
+
+    No edge joins two vertices of one color, except that a colored split
+    graph has every green-green edge, and each of its green vertices has a
+    red neighbour (the partition is S-max).  The keys are generated, so one
+    that fails is a bug: BrokenInvariant, not the constructor's input error.
+    """
+    full = (1 << n) - 1
+    clique = [_clique_word(m) for m in range(1 << n)]
+    colored = tag is ClassTag.COLORED_SPLIT
+    # per green mask g: the monochrome edges, those of them a key must have,
+    # and (colored split graphs) the edges from each green vertex to red
+    mono = [clique[g] | clique[full ^ g] for g in range(1 << n)]
+    need = clique if colored else [0] * (1 << n)
+    to_red = [[sum(1 << edge_bit(v, r) for r in bits_of(full ^ g)) for v in bits_of(g)]
+              if colored else [] for g in range(1 << n)]
+    for key in keys:
+        green, w = key & full, key >> n
+        if w & mono[green] != need[green]:
+            raise BrokenInvariant(f"{tag.value} key {key:#x} at n={n} breaks its coloring")
+        for edges in to_red[green]:
+            if not w & edges:
+                raise BrokenInvariant(f"{tag.value} key {key:#x} at n={n} has a green vertex "
+                                      "with no red neighbour")
+        yield key
+
+
+def _edge_texts(n: int) -> list[list[str]]:
+    """Per byte of an edge word on n vertices, the JSON text of each byte
+    value's edges in edge-word order, each edge led by a comma."""
+    pairs = edge_pairs(n)
+    tables = []
+    for low in range(0, 32, 8):
+        table = [""]  # entry b: the edges of the set bits of b
+        for i, j in pairs[low:low + 8]:
+            table += [t + f",[{i},{j}]" for t in table]
+        tables.append(table)
+    return tables
+
+
+def _json_tails(n: int, colored: bool) -> list[str]:
+    """Per green mask, the JSON text after a structure's edges: the keys sort
+    as edges < green < n < red, as the sorted encoder of ``to_json()`` prints them."""
+    if not colored:
+        return [f'],"n":{n}}}']
+    full = (1 << n) - 1
+    return [f'],"green":[{",".join(map(str, bits_of(g)))}],"n":{n},'
+            f'"red":[{",".join(map(str, bits_of(full ^ g)))}]}}' for g in range(1 << n)]
+
+
+def enumerate_labeled(n: int, tag: ClassTag, *, lines: bool = False) -> Iterator:
     """Yield each labeled structure of the class exactly once, in a fixed order.
 
     Graphs come in ascending edge-word order; colored split graphs per graph
     in ascending green-mask order; bicolored structures by ascending green
     mask, then counting through the subsets of the (green, red) vertex pairs.
+    Each two-colored key is checked against its class, and one that fails
+    raises BrokenInvariant.
+
+    With ``lines``, yield each structure's ``to_json()`` as the sorted
+    compact JSON encoder prints it, built from the key alone: the text of
+    each byte of the edge word, then that of the green mask.
     """
     _check_limit(n, tag)
-    if tag is ClassTag.ALL_GRAPHS:
-        for word in range(1 << _edge_count(n)):
+    keys = _labeled_keys(n, tag)
+    colored = tag in _TWO_COLORED_TAGS
+    shift = n if colored else 0
+    full = (1 << shift) - 1
+    if lines:
+        t0, t1, t2, t3 = _edge_texts(n)
+        tails = _json_tails(n, colored)
+        for key in keys:
+            w = key >> shift
+            edges = t0[w & 255] + t1[w >> 8 & 255] + t2[w >> 16 & 255] + t3[w >> 24]
+            yield '{"edges":[' + edges[1:] + tails[key & full]
+    elif not colored:
+        for word in keys:
             yield Graph.from_edge_word(n, word)
-    elif tag is ClassTag.SPLIT:
-        for word in _split_words(n):
-            yield Graph.from_edge_word(n, word)
-    elif tag in _CLASSIFIED_TAGS:
-        data = _split_data(n)
-        wanted = {_AMB, _KCAN, _SCAN} if tag is ClassTag.UNBALANCED else {_CLS_OF_TAG[tag]}
-        for word, cls in zip(data.words, data.classes):
-            if cls in wanted:
-                yield Graph.from_edge_word(n, word)
     else:
-        if tag is ClassTag.COLORED_SPLIT:
-            carrier, keys = ColoredSplitGraph, _colored_split_keys(n)
-        else:
-            carrier = BicoloredGraph
-            keys = _bicolored_keys(n, tag)
-        full = (1 << n) - 1
+        carrier = ColoredSplitGraph if tag is ClassTag.COLORED_SPLIT else BicoloredGraph
         for key in keys:
             green = key & full
             yield carrier(Graph.from_edge_word(n, key >> n), bits_of(green), bits_of(full ^ green))

@@ -89,13 +89,14 @@ print(repr(seen))
 
 
 def test_text_and_csv_commands_do_not_load_json():
-    """Start-up and every text or CSV command run without the json module."""
+    """Start-up, every text or CSV command and enumerate run without the json module."""
     src = os.path.dirname(os.path.dirname(splitspecies.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     commands = ["count --class split --labeled --max-n 30",
                 "count --class balanced --labeled --n 20 --format csv",
                 "asym --max-n 20",
-                "verify --suite formulas --max-n 20 --format text"]
+                "verify --suite formulas --max-n 20 --format text",
+                "enumerate --class colored-split --n 4"]
     done = subprocess.run([sys.executable, "-c", _JSON_PROBE, *commands],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
@@ -314,8 +315,9 @@ def _failed_checks(out: str) -> set[tuple[str, int]]:
 
 
 def test_an_off_by_one_oracle_count_fails_both_suites(capsys, monkeypatch):
-    """One labeled ambiguous count one too high at n = 4 breaks the two rows
-    that read it, in both suites, and each prints them as FAIL lines."""
+    """One labeled ambiguous count one too high at n = 4 breaks the two
+    identities that read it, in both suites, and the formulas suite's
+    chain-against-oracle row too; each prints them as FAIL lines."""
     from splitspecies import enumeration
     from splitspecies.enumeration import ClassTag
 
@@ -324,16 +326,17 @@ def test_an_off_by_one_oracle_count_fails_both_suites(capsys, monkeypatch):
                         lambda n, tag: count(n, tag) + ((n, tag) == (4, ClassTag.AMBIGUOUS)))
     fail_lines = ["FAIL labeled-unbalanced-partition n=4: expected 46, got 47",
                   "FAIL labeled-ambiguous-convolution n=4: expected 0, got 1"]
-    for suite in ("identities", "formulas"):
+    oracle_line = "FAIL oracle-ambiguous n=4: expected 0, got 1"
+    for suite, extra in (("identities", []), ("formulas", [oracle_line])):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-n", "7")
         assert code == 1
-        assert _failed_checks(out) == {("labeled-unbalanced-partition", 4),
-                                       ("labeled-ambiguous-convolution", 4)}
+        rows = {("labeled-unbalanced-partition", 4), ("labeled-ambiguous-convolution", 4)}
+        assert _failed_checks(out) == rows | {("oracle-ambiguous", 4) for _ in extra}
         assert all("ok" not in d for d in json.loads(out)["discrepancies"])
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-n", "7",
                                "--format", "text")
         assert code == 1
-        assert [line for line in out.splitlines() if line.startswith("FAIL")] == fail_lines
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == fail_lines + extra
 
 
 def test_an_off_by_one_closed_form_fails_both_suites(capsys, monkeypatch):
@@ -353,6 +356,32 @@ def test_an_off_by_one_closed_form_fails_both_suites(capsys, monkeypatch):
     assert {("split-formula-agreement", 3), ("labeled-bicolored-formula", 3),
             ("oracle-split-series", 3)} <= failed
     assert min(n for _, n in failed) == 3
+
+
+# the two chain mutations that no row caught before UK and Uamb had oracle
+# rows: the UK convolution summed from k = 1, and Uamb = (n + 1) B_{n-1}
+CHAIN_MUTATIONS = {
+    "oracle-k-canonical": ("UK", lambda chain, n: chain["UK"][n] + n * chain["cS"][n - 1]),
+    "oracle-ambiguous": ("Uamb", lambda chain, n: (n + 1) * chain["B"][n - 1]),
+}
+
+
+@pytest.mark.parametrize("row", sorted(CHAIN_MUTATIONS))
+def test_a_broken_chain_series_fails_its_oracle_row(capsys, monkeypatch, row):
+    from splitspecies import counting
+
+    key, mutated = CHAIN_MUTATIONS[row]
+    derive = counting.derive_labeled_chain
+
+    def broken(order):
+        chain = derive(order)
+        chain[key] = chain[key][:1] + [mutated(chain, n) for n in range(1, order + 1)]
+        return chain
+
+    monkeypatch.setattr(counting, "derive_labeled_chain", broken)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "7")
+    assert code == 1
+    assert {name for name, _ in _failed_checks(out)} == {row}
 
 
 def test_verify_identities_refuses_past_the_census_before_any_work(capsys, monkeypatch):
@@ -560,6 +589,45 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "3")
     assert code == 4 and out == ""
     assert err == "error: internal invariant failed: double-sum total for n=1 leaves remainder 1\n"
+
+
+def test_a_monochrome_bicolored_key_exits_4(capsys, monkeypatch):
+    from splitspecies import enumeration
+
+    keys = enumeration._bicolored_keys
+
+    def broken(n, tag):
+        out = keys(n, tag)
+        out[out.index(0b11)] |= 1 << n  # green {0, 1}, given their edge (bit 0)
+        return out
+
+    monkeypatch.setattr(enumeration, "_bicolored_keys", broken)
+    code, out, err = run_cli(capsys, "enumerate", "--class", "bicolored", "--n", "4")
+    assert code == 4 and out == ""
+    assert err.startswith("error: internal invariant failed: bicolored key ")
+    assert "at n=4 " in err
+
+
+def test_a_colored_split_key_with_a_lonely_green_vertex_exits_4(capsys, monkeypatch):
+    from splitspecies import enumeration
+    from splitspecies.graphs import bits_of, edge_bit
+
+    keys = enumeration._colored_split_keys
+
+    def broken(n):
+        out = keys(n)
+        full = (1 << n) - 1
+        i = next(i for i, key in enumerate(out) if key & full)
+        green = out[i] & full
+        v = bits_of(green)[0]
+        out[i] &= ~sum(1 << (edge_bit(v, r) + n) for r in bits_of(full ^ green))
+        return out
+
+    monkeypatch.setattr(enumeration, "_colored_split_keys", broken)
+    code, out, err = run_cli(capsys, "enumerate", "--class", "colored-split", "--n", "4")
+    assert code == 4 and out == ""
+    assert err.startswith("error: internal invariant failed: colored-split key ")
+    assert err.endswith(" at n=4 has a green vertex with no red neighbour\n")
 
 
 def test_broken_swing_invariant_exits_4(capsys, tmp_path, monkeypatch):

@@ -68,6 +68,16 @@ def test_enumerate_yields_valid_structures():
         assert isinstance(b, BicoloredGraph) and not b.isolated_greens()
 
 
+@pytest.mark.parametrize("tag", list(ClassTag), ids=lambda t: t.value)
+def test_lines_are_the_encoded_structures(tag):
+    """Each line built from a key is what the sorted compact encoder prints
+    for the structure's to_json(), in the same order."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    for n in range(7):
+        expected = [encode(s.to_json()) for s in enumerate_labeled(n, tag)]
+        assert list(enumerate_labeled(n, tag, lines=True)) == expected
+
+
 def test_colored_split_structures_are_graph_smax_pairs():
     for n in range(0, 5):
         expected = []

@@ -3,8 +3,9 @@
 These exercise the widest supported sizes: the n = 8 split census
 (5,843,954 labeled graphs generated from their 8.5 million clique/stable
 partitions in a 256 MB table indexed by edge word, then 557 orbits read off
-that same table; about 2 s and 310 MB peak RSS on a 2-core x86-64 VM) and
-the full formula agreement through the command line (about 4 s there).
+that same table; about 2 s and 310 MB peak RSS on a 2-core x86-64 VM), the
+full formula agreement through the command line (about 4 s there) and the
+JSON lines of every class but all graphs at n = 7, against their objects.
 """
 
 import json
@@ -41,3 +42,14 @@ def test_cli_formula_sweep_to_318(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["discrepancies"] == []
+
+
+@slow
+def test_lines_are_the_encoded_structures_n7():
+    from splitspecies.enumeration import ClassTag, enumerate_labeled
+
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    for tag in ClassTag:
+        if tag is not ClassTag.ALL_GRAPHS:  # 2^21 graphs
+            expected = [encode(s.to_json()) for s in enumerate_labeled(7, tag)]
+            assert list(enumerate_labeled(7, tag, lines=True)) == expected, tag
