@@ -54,16 +54,12 @@ def _labeled_counts(tag: ClassTag, ns) -> dict[int, int]:
 _ENUMERATE_BLOCK = 4096  # lines per write of ``enumerate``
 
 
-def _json_encoder():
-    """The sorted compact encoder of every JSON report (``enumerate`` builds its
-    lines from keys); json loads only here and where JSON is read."""
+def _emit_json(data) -> None:
+    """Print data with the sorted compact encoding of every JSON report;
+    json loads only here and where JSON is read."""
     import json
 
-    return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _emit_json(data) -> None:
-    print(_json_encoder()(data))
+    print(json.dumps(data, sort_keys=True, separators=(",", ":")))
 
 
 # ---------------------------------------------------------------------------
