@@ -23,13 +23,15 @@ subset scan, and the classes against the swing analysis of ``structure``.
 A labeled two-colored structure is one integer key, (edge word << n) | green
 mask, and a plain graph is keyed by its edge word.  ``enumerate_labeled``
 turns keys into objects, or into JSON lines through tables of text.
-Unlabeled structures are counted as orbits under vertex relabeling.  Orbit counting takes a word-indexed table of
-flags and, at each word still flagged, generates its whole orbit from a
-permutation table that packs the images of one edge bit under every
-relabeling into the lanes of one Python integer.  Each orbit is counted
-once, at its least word, which doubles as the canonical code.  A
-two-colored orbit is counted among its members whose green set is 0..c-1,
-which are generated alone, under the relabelings that fix that set.
+
+Unlabeled structures are counted as orbits under vertex relabeling.  Orbit
+counting takes a word-indexed table of flags and, at each word still
+flagged, generates its whole orbit from a permutation table that packs the
+images of one edge bit under every relabeling into the lanes of one Python
+integer.  Each orbit is counted once, at its least word, which doubles as
+the canonical code.  A two-colored orbit is counted among its members whose
+green set is 0..c-1, which are generated alone, under the relabelings that
+fix that set.
 
 Only the standard library is used: ``bytearray`` tables, ``array.array``
 results and integers as packed lanes.
