@@ -1,4 +1,4 @@
-"""The cross-route checks: one table of identities, each written once.
+"""The cross-route checks, each written once, and the routes that serve ``count``.
 
 A row is ``(name, least n, expected(n), got(n))``: two routes to one count, or
 two sides of one identity, that must agree at every n from the least on.  Rows
@@ -61,25 +61,43 @@ IDENTITIES = (
      lambda n: _lab(n, T.K_CANONICAL)),
 )
 
-# the labeled series chain against the oracle
-TABLE = IDENTITIES + (
-    ("oracle-unbalanced", 0, lambda n: counting.chain_count("U", n),
-     lambda n: _lab(n, T.UNBALANCED)),
-    ("oracle-balanced", 0, lambda n: counting.chain_count("B", n), lambda n: _lab(n, T.BALANCED)),
-    ("oracle-split-series", 0, lambda n: counting.chain_count("S", n), lambda n: _lab(n, T.SPLIT)),
-    ("oracle-colored-split", 0, lambda n: counting.chain_count("cS", n),
-     lambda n: _lab(n, T.COLORED_SPLIT)),
-    ("oracle-k-canonical", 0, lambda n: counting.chain_count("UK", n),
-     lambda n: _lab(n, T.K_CANONICAL)),
-    ("oracle-ambiguous", 0, lambda n: counting.chain_count("Uamb", n),
-     lambda n: _lab(n, T.AMBIGUOUS)),
-)
+# The routes of the labeled counts.  CHAIN_KEYS names the labeled chain's
+# series for each class it counts; ``count`` reads it for a class without a
+# closed form in CLOSED_FORMS, and TABLE checks each entry against the oracle.
+# All graphs get no row, as the oracle's labeled all-graphs count is the same
+# formula; BC gets no chain key, as the chain takes BC from bicolored_labeled.
+CLOSED_FORMS = {T.ALL_GRAPHS: lambda n: 1 << (n * (n - 1) // 2),
+                T.SPLIT: lambda n: counting.split_labeled(n),
+                T.BICOLORED: lambda n: counting.bicolored_labeled(n)}
+CHAIN_KEYS = {T.SPLIT: "S", T.BALANCED: "B", T.UNBALANCED: "U", T.K_CANONICAL: "UK",
+              T.S_CANONICAL: "UK", T.AMBIGUOUS: "Uamb", T.COLORED_SPLIT: "cS",
+              T.BICOLORED_NO_ISOLATED_GREEN: "cS"}
+
+TABLE = IDENTITIES + tuple(
+    (f"oracle-{tag.value}", 0, lambda n, key=key: counting.chain_count(key, n),
+     lambda n, tag=tag: _lab(n, tag))
+    for tag, key in CHAIN_KEYS.items())
 
 # the two closed forms of the labeled split count, past the oracle's reach
 FORMULAS = (
     ("split-formula-agreement", 1, lambda n: counting.split_labeled(n),
      lambda n: counting.split_labeled_bp(n)),
 )
+
+
+def counts(tag: T, unlabeled: bool, ns) -> dict[int, int]:
+    """The counts of class ``tag`` at the sizes ``ns`` that ``count`` prints.
+
+    Unlabeled counts come from the oracle.  A labeled count comes from the
+    class's closed form, or else from one chain built at max(ns).
+    """
+    ns = [check_size(n) for n in ns]  # the all-graphs closed form checks none
+    if unlabeled:
+        return {n: _unl(n, tag) for n in ns}
+    if tag in CLOSED_FORMS:
+        return {n: CLOSED_FORMS[tag](n) for n in ns}
+    chain = counting.chain_count(CHAIN_KEYS[tag], max(ns, default=0), upto=True)
+    return {n: chain[n] for n in ns}
 
 
 def run(rows, max_n: int):

@@ -19,37 +19,16 @@ import itertools
 import os
 import sys
 
-from . import checks, counting
+from . import checks
 from .asymptotics import ratio_report
 from .bijections import (amb_decompose, bicolored_to_split, cuk_decompose, split_to_bicolored,
                          uk_decompose)
-from .enumeration import CENSUS_MAX_N, ClassTag, count_unlabeled, enumerate_labeled
+from .counting import MAX_FORMULA_N
+from .enumeration import CENSUS_MAX_N, ClassTag, enumerate_labeled
 from .errors import InternalError, SplitSpeciesError, check_size
 from .graphs import BicoloredGraph, TwoColoredGraph, load_file, load_graph
-from .series import decimal
+from .series import MAX_CHAIN_ORDER, decimal
 from .structure import ColoredSplitGraph, classify_report, swing_report
-
-_CHAIN_KEYS = {
-    ClassTag.BALANCED: "B",
-    ClassTag.UNBALANCED: "U",
-    ClassTag.AMBIGUOUS: "Uamb",
-    ClassTag.K_CANONICAL: "UK",
-    ClassTag.S_CANONICAL: "UK",
-    ClassTag.COLORED_SPLIT: "cS",
-    ClassTag.BICOLORED_NO_ISOLATED_GREEN: "cS",
-}
-
-
-def _labeled_counts(tag: ClassTag, ns) -> dict[int, int]:
-    if tag in _CHAIN_KEYS:  # one chain, built at the largest size asked for
-        counts = counting.chain_count(_CHAIN_KEYS[tag], max(ns), upto=True)
-        return {n: counts[n] for n in ns}
-    if tag is ClassTag.SPLIT:
-        return {n: counting.split_labeled(n) for n in ns}
-    if tag is ClassTag.BICOLORED:
-        return {n: counting.bicolored_labeled(n) for n in ns}
-    return {n: 1 << (n * (n - 1) // 2) for n in ns}  # all graphs
-
 
 _ENUMERATE_BLOCK = 4096  # lines per write of ``enumerate``
 
@@ -68,15 +47,12 @@ def _emit_json(data) -> None:
 
 def _cmd_count(args) -> int:
     tag = ClassTag(args.klass)
-    # an empty range would print nothing, and all-graphs counts make no library call
+    # checked here to name the flag, and as an empty range would print nothing
     if args.n is None:
         ns = range(check_size(args.max_n, what="--max-n") + 1)
     else:
         ns = [check_size(args.n, what="--n")]
-    if args.unlabeled:
-        values = {n: count_unlabeled(n, tag) for n in ns}
-    else:
-        values = _labeled_counts(tag, ns)
+    values = checks.counts(tag, args.unlabeled, ns)
     kind = "unlabeled" if args.unlabeled else "labeled"
     if args.format == "json":
         _emit_json({"class": tag.value, "kind": kind,
@@ -163,7 +139,8 @@ def _cmd_verify(args) -> int:
         return 0 if not bad else 1
 
     if args.suite == "formulas":
-        report = checks.cross_check(318 if args.max_n is None else args.max_n)
+        max_n = 318 if args.max_n is None else args.max_n
+        report = checks.cross_check(check_size(max_n, high=MAX_FORMULA_N, what="--max-n"))
         print(f"formulas: {report.elapsed_ms} ms", file=sys.stderr)  # keeps stdout stable
         if args.format == "json":
             _emit_json(report.to_json())
@@ -191,12 +168,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_asym(args) -> int:
+    max_n = check_size(args.max_n, high=MAX_CHAIN_ORDER, what="--max-n")
     base = None
     if args.unlabeled_base:  # ratio_report checks the values
         import json
 
         base = load_file(args.unlabeled_base, lambda text: json.loads(text)["values"])
-    report = ratio_report(args.max_n, unlabeled_base=base)
+    report = ratio_report(max_n, unlabeled_base=base)
     if args.format == "json":
         _emit_json(report.to_json())
     else:

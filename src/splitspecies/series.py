@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from itertools import accumulate
 from math import factorial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ConventionMismatch,
@@ -45,6 +45,9 @@ from .errors import (
     check_size,
 )
 from .record import Record
+
+if TYPE_CHECKING:  # fractions loads only where a Fraction is built
+    from fractions import Fraction
 
 EGF = "egf"
 OGF = "ogf"

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import splitspecies
+from splitspecies import checks
 from splitspecies.cli import main
 
 from conftest import TESTDATA
@@ -354,15 +355,18 @@ def test_an_off_by_one_closed_form_fails_both_suites(capsys, monkeypatch):
     assert code == 1
     failed = _failed_checks(out)
     assert {("split-formula-agreement", 3), ("labeled-bicolored-formula", 3),
-            ("oracle-split-series", 3)} <= failed
+            ("oracle-split", 3)} <= failed
     assert min(n for _, n in failed) == 3
 
 
 # the two chain mutations that no row caught before UK and Uamb had oracle
-# rows: the UK convolution summed from k = 1, and Uamb = (n + 1) B_{n-1}
+# rows: the UK convolution summed from k = 1, and Uamb = (n + 1) B_{n-1};
+# each with the rows that must fail, those of every class reading its key
 CHAIN_MUTATIONS = {
-    "oracle-k-canonical": ("UK", lambda chain, n: chain["UK"][n] + n * chain["cS"][n - 1]),
-    "oracle-ambiguous": ("Uamb", lambda chain, n: (n + 1) * chain["B"][n - 1]),
+    "oracle-k-canonical": ("UK", lambda chain, n: chain["UK"][n] + n * chain["cS"][n - 1],
+                           {"oracle-k-canonical", "oracle-s-canonical"}),
+    "oracle-ambiguous": ("Uamb", lambda chain, n: (n + 1) * chain["B"][n - 1],
+                         {"oracle-ambiguous"}),
 }
 
 
@@ -370,7 +374,7 @@ CHAIN_MUTATIONS = {
 def test_a_broken_chain_series_fails_its_oracle_row(capsys, monkeypatch, row):
     from splitspecies import counting
 
-    key, mutated = CHAIN_MUTATIONS[row]
+    key, mutated, rows = CHAIN_MUTATIONS[row]
     derive = counting.derive_labeled_chain
 
     def broken(order):
@@ -381,7 +385,33 @@ def test_a_broken_chain_series_fails_its_oracle_row(capsys, monkeypatch, row):
     monkeypatch.setattr(counting, "derive_labeled_chain", broken)
     code, out, _ = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "7")
     assert code == 1
-    assert {name for name, _ in _failed_checks(out)} == {row}
+    assert {name for name, _ in _failed_checks(out)} == rows
+
+
+@pytest.mark.parametrize("tag", checks.CHAIN_KEYS, ids=lambda tag: tag.value)
+def test_every_chain_served_class_has_its_oracle_row(capsys, monkeypatch, tag):
+    """A chain count one too high at n = 5 is what ``count`` prints for each
+    class it serves from the chain, and ``verify`` names that class's row;
+    split is served by its closed form, which stays as it was."""
+    from splitspecies import counting
+
+    key = checks.CHAIN_KEYS[tag]
+    derive = counting.derive_labeled_chain
+    right = derive(5)[key][5]
+
+    def bumped(order):
+        chain = derive(order)
+        if order >= 5:
+            chain[key][5] += 1
+        return chain
+
+    monkeypatch.setattr(counting, "derive_labeled_chain", bumped)
+    code, out, _ = run_cli(capsys, "count", "--class", tag.value, "--labeled", "--n", "5")
+    served = right if tag in checks.CLOSED_FORMS else right + 1
+    assert (code, out) == (0, f"{tag.value} labeled n=5: {served}\n")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "formulas", "--max-n", "7")
+    assert code == 1
+    assert (f"oracle-{tag.value}", 5) in _failed_checks(out)
 
 
 def test_verify_identities_refuses_past_the_census_before_any_work(capsys, monkeypatch):
@@ -438,7 +468,7 @@ def test_asym_json_with_unlabeled_base(capsys):
 def test_counting_caps_exit_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith("error: --max-n ") and len(err.splitlines()) == 1
 
 
 def test_usage_error_exits_2():
@@ -572,6 +602,8 @@ def test_bad_invocations_exit_with_documented_codes(capsys, tmp_path, case):
     assert code == expected and out == ""
     if expected == 3:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        if case.endswith("-max-n"):  # a bad size names the flag that gave it
+            assert err.startswith("error: --max-n ")
     else:
         assert "usage:" in err and ("is required" in err or "unrecognized arguments" in err)
 

@@ -45,6 +45,9 @@ BOUNDARY = {
     "chain-count-negative": (lambda: counting.chain_count("U", -1), OutOfRange),
     "unbalanced-negative": (lambda: counting.unbalanced_labeled(-1), OutOfRange),
     "cross-check-negative": (lambda: checks.cross_check(-1), OutOfRange),
+    "counts-negative": (lambda: checks.counts(ClassTag.ALL_GRAPHS, False, [3, -1]), OutOfRange),
+    "counts-chain-negative": (lambda: checks.counts(ClassTag.BALANCED, False, [3, -1]),
+                              OutOfRange),
     "labeled-chain-negative": (lambda: series.derive_labeled_chain(-1), OutOfRange),
     "asymptotic-zero": (lambda: asymptotics.asymptotic_bicolored(0), OutOfRange),
     "b-ratio-negative": (lambda: asymptotics.check_b_ratio(-1), OutOfRange),

@@ -6,8 +6,9 @@ import os
 import jsonschema
 import pytest
 
-from splitspecies import bijections, graphs
+from splitspecies import bijections, enumeration, graphs
 from splitspecies.cli import main
+from splitspecies.enumeration import ClassTag
 
 from conftest import TESTDATA
 
@@ -43,9 +44,22 @@ def test_verify_identities_schema(capsys):
     jsonschema.validate(data, load_schema("verify-identities.schema.json"))
 
 
-def test_verify_formulas_schema(capsys):
+def test_verify_formulas_schema(capsys, monkeypatch):
+    schema = load_schema("verify-formulas.schema.json")
     data = cli_json(capsys, "verify", "--suite", "formulas", "--max-n", "10")
-    jsonschema.validate(data, load_schema("verify-formulas.schema.json"))
+    jsonschema.validate(data, schema)
+    # a failing report: the labeled ambiguous count at n = 4 one too high
+    count = enumeration.count_labeled
+    monkeypatch.setattr(enumeration, "count_labeled",
+                        lambda n, tag: count(n, tag) + ((n, tag) == (4, ClassTag.AMBIGUOUS)))
+    assert main(["verify", "--suite", "formulas", "--max-n", "7"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["discrepancies"]
+    jsonschema.validate(data, schema)
+    for field, value in (("n", "4"), ("got", 1)):  # counts are strings, sizes integers
+        bad = {**data, "discrepancies": [{**data["discrepancies"][0], field: value}]}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
 
 
 def test_asym_schema(capsys):

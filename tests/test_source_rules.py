@@ -1,7 +1,11 @@
 """Rules the package source keeps, checked on its syntax trees."""
 
 import ast
+import importlib
+import inspect
 import pathlib
+import pkgutil
+import typing
 
 import pytest
 
@@ -102,4 +106,42 @@ def test_routes_stay_blind_to_each_other():
              if "checks" in names and module not in ("cli", "__init__")]
     for module, banned in ROUTE_BLINDNESS.items():
         found += [f"{module} imports {name}" for name in sorted(imports[module] & banned)]
+    assert found == []
+
+
+def _annotation_names(module) -> dict:
+    """The names a type checker sees in a module: its globals, and what it
+    imports under ``if TYPE_CHECKING:``, imported here."""
+    names = dict(vars(module))
+    for node in ast.parse(pathlib.Path(module.__file__).read_text()).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING",
+                                                                   "typing.TYPE_CHECKING"):
+            exec(compile(ast.Module(node.body, type_ignores=[]), module.__file__, "exec"), names)
+    return names
+
+
+def test_every_annotation_resolves():
+    """Every annotation of the package's functions and methods names something
+    its module binds, so ``typing.get_type_hints`` resolves it."""
+    found = []
+    for info in pkgutil.iter_modules(splitspecies.__path__):
+        module = importlib.import_module(f"splitspecies.{info.name}")
+        names = _annotation_names(module)
+        functions = []
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions.append(obj)
+            elif inspect.isclass(obj):
+                for attr in vars(obj).values():
+                    attr = attr.fget if isinstance(attr, property) else attr
+                    attr = getattr(attr, "__func__", attr)  # staticmethod, classmethod
+                    if inspect.isfunction(attr):
+                        functions.append(attr)
+        for fn in functions:
+            try:
+                typing.get_type_hints(fn, globalns=names)
+            except NameError as exc:
+                found.append(f"{module.__name__}.{fn.__qualname__}: {exc}")
     assert found == []
