@@ -47,7 +47,7 @@ def main():
     os.makedirs(OUT, exist_ok=True)
 
     t0 = time.time()
-    write_census_files(OUT, max_n=7)
+    write_census_files(OUT)
     base = [class_census(n).unlabeled[ClassTag.SPLIT] for n in range(8)]
     with open(os.path.join(OUT, "unlabeled-split.json"), "w") as f:
         json.dump({"kind": "split/unlabeled/oracle", "max_n": 7, "values": base},

@@ -21,7 +21,6 @@ only floats.
 from .errors import (
     BrokenInvariant,
     ConventionMismatch,
-    InsufficientBase,
     InternalError,
     IsolatedGreen,
     LabelClash,
@@ -61,7 +60,6 @@ from .structure import (
     canonical_partition,
     classify,
     clique_number,
-    color,
     independence_number,
     k_max_partitions,
     ks_partitions,

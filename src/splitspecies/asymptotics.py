@@ -101,7 +101,7 @@ def check_b_ratio_unlabeled(base: list[int]) -> list[int]:
     are their partial sums, read off the unlabeled chain.
     """
     check_unlabeled_base(base)
-    btilde = derive_unlabeled_chain(len(base) - 1, base)["BC"]
+    btilde = derive_unlabeled_chain(base)["BC"]
     violations = []
     for n in range(1, len(btilde)):
         if n * n * btilde[n] ** 2 < (1 << (n + 1)) * btilde[n - 1] ** 2:
@@ -239,7 +239,7 @@ def ratio_report(n_max: int, unlabeled_base: list[int] | None = None) -> RatioRe
     doubles as needed to settle its 17 printed digits.  If ``unlabeled_base``
     (unlabeled split counts s~_0..s~_m) is supplied, unlabeled analogue rows
     follow, including the observational b~_n * n!/b_n column.  The chain's
-    cap ``MAX_CHAIN_ORDER`` caps n_max.
+    cap ``MAX_CHAIN_ORDER`` caps n_max and m.
     """
     if unlabeled_base is not None:
         check_unlabeled_base(unlabeled_base)
@@ -251,7 +251,7 @@ def ratio_report(n_max: int, unlabeled_base: list[int] | None = None) -> RatioRe
             for n in range(1, n_max + 1)]
     unlabeled_rows = []
     if unlabeled_base is not None:
-        tilde = derive_unlabeled_chain(len(unlabeled_base) - 1, unlabeled_base)
+        tilde = derive_unlabeled_chain(unlabeled_base)
         for n in range(1, len(unlabeled_base)):
             s_t, b_t, u_t = tilde["S"][n], tilde["BC"][n], tilde["U"][n]
             unlabeled_rows.append(UnlabeledRatioRow(

@@ -30,7 +30,7 @@ def _unl(n: int, tag: T) -> int:
 
 def _unlabeled_chain(n: int) -> dict[str, list[int]]:
     """The unlabeled series chain at sizes 0..n, on the oracle's split counts."""
-    return series.derive_unlabeled_chain(n, [_unl(k, T.SPLIT) for k in range(n + 1)])
+    return series.derive_unlabeled_chain([_unl(k, T.SPLIT) for k in range(n + 1)])
 
 
 # each count builds only its class family; no row reads the unlabeled
@@ -66,7 +66,7 @@ IDENTITIES = (
 # closed form in CLOSED_FORMS, and TABLE checks each entry against the oracle.
 # All graphs get no row, as the oracle's labeled all-graphs count is the same
 # formula; BC gets no chain key, as the chain takes BC from bicolored_labeled.
-CLOSED_FORMS = {T.ALL_GRAPHS: lambda n: 1 << (n * (n - 1) // 2),
+CLOSED_FORMS = {T.ALL_GRAPHS: lambda n: 1 << comb(check_size(n, high=counting.MAX_FORMULA_N), 2),
                 T.SPLIT: lambda n: counting.split_labeled(n),
                 T.BICOLORED: lambda n: counting.bicolored_labeled(n)}
 CHAIN_KEYS = {T.SPLIT: "S", T.BALANCED: "B", T.UNBALANCED: "U", T.K_CANONICAL: "UK",
@@ -91,7 +91,7 @@ def counts(tag: T, unlabeled: bool, ns) -> dict[int, int]:
     Unlabeled counts come from the oracle.  A labeled count comes from the
     class's closed form, or else from one chain built at max(ns).
     """
-    ns = [check_size(n) for n in ns]  # the all-graphs closed form checks none
+    ns = [check_size(n) for n in ns]  # the chain checks only max(ns)
     if unlabeled:
         return {n: _unl(n, tag) for n in ns}
     if tag in CLOSED_FORMS:

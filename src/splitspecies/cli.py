@@ -47,9 +47,10 @@ def _emit_json(data) -> None:
 
 def _cmd_count(args) -> int:
     tag = ClassTag(args.klass)
-    # checked here to name the flag, and as an empty range would print nothing
+    # checked here to name the flag, as an empty range would print nothing,
+    # and at the largest cap of any route before the range is built
     if args.n is None:
-        ns = range(check_size(args.max_n, what="--max-n") + 1)
+        ns = range(check_size(args.max_n, high=MAX_FORMULA_N, what="--max-n") + 1)
     else:
         ns = [check_size(args.n, what="--n")]
     values = checks.counts(tag, args.unlabeled, ns)

@@ -26,7 +26,7 @@ from math import comb
 from .errors import NonIntegralResult, OutOfRange, check_size
 from .series import derive_labeled_chain
 
-MAX_FORMULA_N = 500  # largest n_max of the formula checks (checks.cross_check, check_b_ratio)
+MAX_FORMULA_N = 500  # largest n of the closed forms, hence of the formula checks
 
 
 def bicolored_labeled(n: int) -> int:
@@ -34,11 +34,11 @@ def bicolored_labeled(n: int) -> int:
 
     b_n = sum_k C(n,k) 2^{k(n-k)}, whose terms k and n - k are equal: the
     terms below n/2 are summed once, with a running binomial, and doubled,
-    and an even n adds the middle term.
+    and an even n adds the middle term.  MAX_FORMULA_N caps n.
     """
     half = 0
     c = 1  # C(n, k)
-    for k in range((check_size(n) + 1) // 2):
+    for k in range((check_size(n, high=MAX_FORMULA_N) + 1) // 2):
         half += c << (k * (n - k))
         c = c * (n - k) // (k + 1)
     if n % 2:
@@ -102,8 +102,3 @@ def chain_count(key: str, n: int, *, upto: bool = False) -> int | list[int]:
 def unbalanced_labeled(n: int) -> int:
     """Labeled unbalanced split graphs, from the series chain."""
     return chain_count("U", n)
-
-
-def balanced_labeled(n: int) -> int:
-    return split_labeled(n) - unbalanced_labeled(n)
-

@@ -325,7 +325,7 @@ def _assert_split_identities(n: int, kind: str, t: dict):
 
 def _assert_colored_identity(n: int, lab: dict):
     # colored split graphs in excess of split graphs all come from k-canonical ones
-    _require(lab[ClassTag.COLORED_SPLIT] - colored_kcanonical_labeled(n)
+    _require(lab[ClassTag.COLORED_SPLIT] - _colored_kcanonical_labeled(n)
              == lab[ClassTag.SPLIT] - lab[ClassTag.K_CANONICAL],
              n, "labeled", "cS - cUK = S - UK")
 
@@ -440,9 +440,8 @@ def _assert_census_identities(c: Census):
     _assert_colored_identity(c.n, c.labeled)
 
 
-def colored_kcanonical_labeled(n: int) -> int:
+def _colored_kcanonical_labeled(n: int) -> int:
     """Number of labeled colored split graphs whose underlying graph is k-canonical."""
-    _check_limit(n, ClassTag.COLORED_SPLIT)
     data = _split_data(n)
     return sum(a.bit_count() for a, cls in zip(data.swings, data.classes) if cls == _KCAN)
 
@@ -471,19 +470,22 @@ def _checked_keys(n: int, tag: ClassTag, keys: Iterable[int]) -> Iterator[int]:
     """Each two-colored key, after the check its class's constructor makes.
 
     No edge joins two vertices of one color, except that a colored split
-    graph has every green-green edge, and each of its green vertices has a
-    red neighbour (the partition is S-max).  The keys are generated, so one
-    that fails is a bug: BrokenInvariant, not the constructor's input error.
+    graph has every green-green edge.  Each green vertex has a red
+    neighbour in a colored split graph (the partition is S-max) and in a
+    bicolored structure with no isolated green vertex.  The keys are
+    generated, so one that fails is a bug: BrokenInvariant, not the
+    constructor's input error.
     """
     full = (1 << n) - 1
     clique = [_clique_word(m) for m in range(1 << n)]
     colored = tag is ClassTag.COLORED_SPLIT
+    covered = tag is not ClassTag.BICOLORED  # each green vertex needs a red neighbour
     # per green mask g: the monochrome edges, those of them a key must have,
-    # and (colored split graphs) the edges from each green vertex to red
+    # and the edges from each green vertex to red
     mono = [clique[g] | clique[full ^ g] for g in range(1 << n)]
     need = clique if colored else [0] * (1 << n)
     to_red = [[sum(1 << edge_bit(v, r) for r in bits_of(full ^ g)) for v in bits_of(g)]
-              if colored else [] for g in range(1 << n)]
+              if covered else [] for g in range(1 << n)]
     for key in keys:
         green, w = key & full, key >> n
         if w & mono[green] != need[green]:
@@ -577,11 +579,11 @@ def count_unlabeled(n: int, tag: ClassTag) -> int:
     return _two_colored_unlabeled(n, tag)
 
 
-def write_census_files(directory: str, max_n: int = 7):
-    """Regenerate the golden census files census-n{0..max_n}.json."""
+def write_census_files(directory: str):
+    """Regenerate the golden census files census-n{0..CENSUS_MAX_N}.json."""
     import json
 
-    for n in range(max_n + 1):
+    for n in range(CENSUS_MAX_N + 1):
         path = os.path.join(directory, f"census-n{n}.json")
         with open(path, "w") as f:
             json.dump(class_census(n).to_json(), f, indent=1, sort_keys=True)

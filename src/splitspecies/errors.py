@@ -72,10 +72,6 @@ class NotAUnit(SplitSpeciesError, ZeroDivisionError):
     """Division by a series whose constant term is zero."""
 
 
-class InsufficientBase(SplitSpeciesError, ValueError):
-    """The supplied base sequence is shorter than the requested order."""
-
-
 class MalformedInput(SplitSpeciesError, ValueError):
     """An input file or value does not have the form of the structure it describes."""
 

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ConventionMismatch,
-    InsufficientBase,
     MalformedInput,
     NonIntegralResult,
     NotAUnit,
@@ -270,15 +269,18 @@ def check_unlabeled_base(base: Sequence[int]) -> None:
     The terms must be positive integers, each at least the sum of those
     before it: s~_n - (s~_0 + ... + s~_{n-1}) counts the unlabeled balanced
     graphs.  Past this check a negative chain count is a bug, not bad data.
+    A base longer than the labeled chain's, MAX_CHAIN_ORDER + 1 terms,
+    raises TooLarge.
     """
     if not isinstance(base, (list, tuple)) or not all(type(v) is int and v > 0 for v in base):
         raise MalformedInput("an unlabeled base must be a list of positive integers")
+    check_size(len(base), high=MAX_CHAIN_ORDER + 1, what="unlabeled base length")
     if any(v < total for v, total in zip(base, accumulate(base, initial=0))):
         raise MalformedInput("each unlabeled base term must be at least the sum of those before it")
 
 
-def derive_unlabeled_chain(order: int, base: Sequence[int]) -> dict[str, list[int]]:
-    """Unlabeled class counts at sizes 0..order, from unlabeled split counts s~_0..s~_m.
+def derive_unlabeled_chain(base: Sequence[int]) -> dict[str, list[int]]:
+    """Unlabeled class counts at sizes 0..m, from unlabeled split counts s~_0..s~_m.
 
     Returns count lists keyed "S", "U", "B", "BC", the ogf identities
 
@@ -286,9 +288,7 @@ def derive_unlabeled_chain(order: int, base: Sequence[int]) -> dict[str, list[in
 
     read on counts: BC_n = s~_0 + ... + s~_n and U_n = BC_n - s~_n.
     """
-    if order >= len(base):
-        raise InsufficientBase(f"need {order + 1} base terms, got {len(base)}")
-    s = list(base[: order + 1])
+    s = list(base)
     bc = list(accumulate(s))
     u = [t - x for t, x in zip(bc, s)]
     b = [x - y for x, y in zip(s, u)]

@@ -272,18 +272,6 @@ class ColoredSplitGraph(TwoColoredGraph):
         if any(not g.rows[v] & rm for v in self.green):
             raise NotSMax("the red side does not have maximum size")
 
-    def partition(self) -> KSPartition:
-        return KSPartition(self.green, self.red)
-
-
-def color(g: Graph, p: KSPartition) -> ColoredSplitGraph:
-    """Turn a graph plus an S-max partition into a colored split graph.
-
-    Raises NotAPartition if p is not a partition of g at all, NotSMax if it
-    is a partition but its stable side is not of maximum size.
-    """
-    return ColoredSplitGraph(g, p.k, p.s)
-
 
 def all_colorings(g: Graph) -> list[ColoredSplitGraph]:
     """Every colored split graph over g: one per S-max partition."""

@@ -471,6 +471,12 @@ def test_counting_caps_exit_3(capsys, argv):
     assert err.startswith("error: --max-n ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("klass", ["all-graphs", "split", "bicolored"])
+def test_closed_forms_count_at_their_cap(capsys, klass):
+    code, out, err = run_cli(capsys, "count", "--class", klass, "--labeled", "--n", "500")
+    assert code == 0 and err == "" and out.startswith(f"{klass} labeled n=500: ")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--class", "split"])  # labeled/unlabeled missing
@@ -563,6 +569,14 @@ BAD_INVOCATIONS = {
     "count-unlabeled-negative-n": (
         ["count", "--class", "balanced", "--unlabeled", "--n", "-1"], None, 3),
     "count-negative-max-n": (["count", "--class", "split", "--labeled", "--max-n", "-1"], None, 3),
+    # one past counting.MAX_FORMULA_N, the cap of the closed forms and of count --max-n
+    "count-all-graphs-past-cap": (
+        ["count", "--class", "all-graphs", "--labeled", "--n", "501"], None, 3),
+    "count-split-past-cap": (["count", "--class", "split", "--labeled", "--n", "501"], None, 3),
+    "count-bicolored-past-cap": (
+        ["count", "--class", "bicolored", "--labeled", "--n", "501"], None, 3),
+    "count-past-cap-max-n": (
+        ["count", "--class", "all-graphs", "--labeled", "--max-n", "501"], None, 3),
     "enumerate-negative-n": (["enumerate", "--class", "split", "--n", "-1"], None, 3),
     "enumerate-format-option": (
         ["enumerate", "--class", "split", "--n", "3", "--format", "jsonl"], None, 2),
@@ -583,6 +597,8 @@ BAD_INVOCATIONS = {
                        '{"values": [1, true]}', 3),
     "asym-base-below-partial-sum": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
                                     '{"values": [1, 5, 2]}', 3),
+    "asym-base-past-cap": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
+                           json.dumps({"values": [1 << k for k in range(402)]}), 3),
     "uk-decompose-without-graph": (["biject", "--map", "uk-decompose"], None, 2),
     "colored-map-without-input": (["biject", "--map", "cuk-decompose"], None, 2),
 }
@@ -640,14 +656,16 @@ def test_a_monochrome_bicolored_key_exits_4(capsys, monkeypatch):
     assert "at n=4 " in err
 
 
-def test_a_colored_split_key_with_a_lonely_green_vertex_exits_4(capsys, monkeypatch):
+def _lonely_green_exits_4(capsys, monkeypatch, klass, generator):
+    """``enumerate --class klass --n 4`` with the first key of ``generator``
+    that has a green vertex stripped of that vertex's red edges exits 4."""
     from splitspecies import enumeration
     from splitspecies.graphs import bits_of, edge_bit
 
-    keys = enumeration._colored_split_keys
+    keys = getattr(enumeration, generator)
 
-    def broken(n):
-        out = keys(n)
+    def broken(n, *tag):
+        out = keys(n, *tag)
         full = (1 << n) - 1
         i = next(i for i, key in enumerate(out) if key & full)
         green = out[i] & full
@@ -655,11 +673,19 @@ def test_a_colored_split_key_with_a_lonely_green_vertex_exits_4(capsys, monkeypa
         out[i] &= ~sum(1 << (edge_bit(v, r) + n) for r in bits_of(full ^ green))
         return out
 
-    monkeypatch.setattr(enumeration, "_colored_split_keys", broken)
-    code, out, err = run_cli(capsys, "enumerate", "--class", "colored-split", "--n", "4")
+    monkeypatch.setattr(enumeration, generator, broken)
+    code, out, err = run_cli(capsys, "enumerate", "--class", klass, "--n", "4")
     assert code == 4 and out == ""
-    assert err.startswith("error: internal invariant failed: colored-split key ")
+    assert err.startswith(f"error: internal invariant failed: {klass} key ")
     assert err.endswith(" at n=4 has a green vertex with no red neighbour\n")
+
+
+def test_a_colored_split_key_with_a_lonely_green_vertex_exits_4(capsys, monkeypatch):
+    _lonely_green_exits_4(capsys, monkeypatch, "colored-split", "_colored_split_keys")
+
+
+def test_a_bicolored_key_with_an_isolated_green_vertex_exits_4(capsys, monkeypatch):
+    _lonely_green_exits_4(capsys, monkeypatch, "bicolored-no-isolated-green", "_bicolored_keys")
 
 
 def test_broken_swing_invariant_exits_4(capsys, tmp_path, monkeypatch):

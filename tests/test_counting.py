@@ -9,7 +9,6 @@ import pytest
 from splitspecies.counting import (
     MAX_FORMULA_N,
     bicolored_labeled,
-    balanced_labeled,
     chain_count,
     split_labeled,
     split_labeled_bp,
@@ -91,12 +90,12 @@ def test_unbalanced_labeled_examples():
     assert unbalanced_labeled(2) == 2
     assert unbalanced_labeled(3) == 8
     assert [unbalanced_labeled(n) for n in range(8)] == U_LABELED
-    assert balanced_labeled(4) == 12
+    assert chain_count("B", 4) == 12
 
 
 def test_counts_partition():
     for n in range(0, 30):
-        assert unbalanced_labeled(n) + balanced_labeled(n) == split_labeled(n)
+        assert unbalanced_labeled(n) + chain_count("B", n) == split_labeled(n)
 
 
 def test_counters_monotone_nondecreasing():

@@ -1,7 +1,9 @@
 """The enumeration oracle: labeled sweeps, orbit counting, census identities."""
 
+import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -193,6 +195,22 @@ def test_census_golden_files(census7):
             golden = Census.from_json(json.load(f))
         assert golden.labeled == census7[n].labeled
         assert golden.unlabeled == census7[n].unlabeled
+
+
+def test_golden_generator_writes_testdata_byte_for_byte(tmp_path, monkeypatch):
+    """scripts/generate_goldens.py, pointed at a scratch directory, writes
+    exactly the files of testdata/, byte for byte."""
+    path = os.path.join(TESTDATA, "..", "scripts", "generate_goldens.py")
+    spec = importlib.util.spec_from_file_location("generate_goldens", path)
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", str(tmp_path))
+    script.main()
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(TESTDATA))
+    for name in os.listdir(tmp_path):
+        with open(tmp_path / name, "rb") as new, open(os.path.join(TESTDATA, name), "rb") as old:
+            assert new.read() == old.read(), name
 
 
 @pytest.mark.parametrize("kind", ["labeled", "unlabeled"])

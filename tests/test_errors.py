@@ -33,6 +33,11 @@ def _path3():
     return graphs.make_graph(3, [(0, 1), (1, 2)])
 
 
+def _base(length):
+    """A valid unlabeled base: each term 2^k exceeds the sum of those before it."""
+    return [1 << k for k in range(length)]
+
+
 def _colored_edge():
     return structure.ColoredSplitGraph.from_json({"n": 2, "edges": [[0, 1]], "green": [0], "red": [1]})
 
@@ -65,6 +70,12 @@ BOUNDARY = {
     "chain-count-key": (lambda: counting.chain_count("X", 3), OutOfRange),
     # each named cap at cap + 1
     "cross-check-cap": (lambda: checks.cross_check(MAX_FORMULA_N + 1), TooLarge),
+    "bicolored-cap": (lambda: counting.bicolored_labeled(MAX_FORMULA_N + 1), TooLarge),
+    "split-cap": (lambda: counting.split_labeled(MAX_FORMULA_N + 1), TooLarge),
+    "counts-all-graphs-cap": (
+        lambda: checks.counts(ClassTag.ALL_GRAPHS, False, [MAX_FORMULA_N + 1]), TooLarge),
+    "base-length-cap": (lambda: asymptotics.check_b_ratio_unlabeled(_base(MAX_CHAIN_ORDER + 2)),
+                        TooLarge),
     "b-ratio-cap": (lambda: asymptotics.check_b_ratio(MAX_FORMULA_N + 1), TooLarge),
     "labeled-chain-cap": (lambda: series.derive_labeled_chain(MAX_CHAIN_ORDER + 1), TooLarge),
     "chain-count-cap": (lambda: counting.chain_count("S", MAX_CHAIN_ORDER + 1), TooLarge),
@@ -167,3 +178,7 @@ def test_sizes_at_the_bounds_still_work():
     assert asymptotics.theta("odd", MAX_BITS)[0] >> MAX_BITS == 2
     assert len(series.derive_labeled_chain(0)["S"]) == 1
     assert graphs.make_graph(MAX_VERTICES, []).n == MAX_VERTICES
+    assert counting.split_labeled(MAX_FORMULA_N) > 0
+    assert checks.counts(ClassTag.ALL_GRAPHS, False, [MAX_FORMULA_N])[MAX_FORMULA_N] > 0
+    assert (asymptotics.check_b_ratio_unlabeled(_base(MAX_CHAIN_ORDER + 1))
+            == list(range(7, MAX_CHAIN_ORDER + 1)))

@@ -7,7 +7,6 @@ import pytest
 
 from splitspecies.errors import (
     ConventionMismatch,
-    InsufficientBase,
     NonIntegralResult,
     NotAUnit,
 )
@@ -193,15 +192,13 @@ def test_labeled_chain_integrality_to_100():
 
 def test_unlabeled_chain():
     base = [1, 1, 2, 4, 9, 21, 56, 164]
-    chain = derive_unlabeled_chain(7, base)
+    chain = derive_unlabeled_chain(base)
     assert chain["U"] == [0, 1, 2, 4, 8, 17, 38, 94]
     assert chain["BC"] == [1, 2, 4, 8, 17, 38, 94, 258]
     assert chain["B"] == [1, 0, 0, 0, 1, 4, 18, 70]
     assert chain["U"][0] == 0  # the factor of x kills order zero
-    short = derive_unlabeled_chain(2, [1, 1, 2])
+    short = derive_unlabeled_chain([1, 1, 2])
     assert short["BC"] == [1, 2, 4]
-    with pytest.raises(InsufficientBase):
-        derive_unlabeled_chain(3, [1, 1, 2])
 
 
 def random_unlabeled_base(seed, length):
@@ -218,7 +215,7 @@ def random_unlabeled_base(seed, length):
 def test_unlabeled_chain_matches_series_products(base):
     """The running sums of the unlabeled chain equal its ogf products."""
     order = len(base) - 1
-    chain = derive_unlabeled_chain(order, base)
+    chain = derive_unlabeled_chain(base)
     s = from_fractions(base, OGF)
     assert chain["S"] == s.counts()
     assert chain["BC"] == (named(SeriesName.GEOMETRIC, OGF, order) * s).counts()
@@ -228,7 +225,7 @@ def test_unlabeled_chain_matches_series_products(base):
 
 def test_unlabeled_chain_rejects_negative_counts():
     with pytest.raises(NonIntegralResult):
-        derive_unlabeled_chain(2, [1, -3, 1])
+        derive_unlabeled_chain([1, -3, 1])
 
 
 def test_truncation_to_shorter_operand():

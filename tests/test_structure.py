@@ -16,14 +16,12 @@ from splitspecies.errors import NotAPartition, NotSMax, NotSplit, TooLarge
 from splitspecies.graphs import Graph, complement, make_graph, relabel
 from splitspecies.structure import (
     ColoredSplitGraph,
-    KSPartition,
     SplitClass,
     all_colorings,
     canonical_partition,
     classify,
     classify_report,
     clique_number,
-    color,
     independence_number,
     k_max_partitions,
     ks_partitions,
@@ -338,15 +336,13 @@ def test_canonical_partition_examples():
 
 def test_color_examples():
     p4 = path_graph(4)
-    c = color(p4, ks_partitions(p4)[0])
+    p = ks_partitions(p4)[0]
+    c = ColoredSplitGraph(p4, p.k, p.s)
     assert c.green == (1, 2) and c.red == (0, 3)
-    k2 = make_graph(2, [(0, 1)])
-    with pytest.raises(NotSMax):
-        color(k2, KSPartition((0, 1), ()))
     with pytest.raises(NotAPartition):
-        color(k2, KSPartition((0,), ()))
+        ColoredSplitGraph(make_graph(2, [(0, 1)]), (0,), ())
     k1 = empty_graph(1)
-    c = color(k1, KSPartition((), (0,)))
+    c = ColoredSplitGraph(k1, (), (0,))
     assert c.red == (0,) and c.green == ()
 
 
