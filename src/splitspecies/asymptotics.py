@@ -24,7 +24,7 @@ from math import comb, factorial, isqrt
 from .counting import MAX_FORMULA_N, bicolored_labeled, split_labeled
 from .errors import BrokenInvariant, OutOfRange, check_size
 from .record import Record
-from .series import check_unlabeled_base, derive_labeled_chain, derive_unlabeled_chain
+from .series import derive_labeled_chain, derive_unlabeled_chain
 
 DEFAULT_BITS = 256
 MIN_BITS = 64  # least precision; the irrational report columns start at it
@@ -100,7 +100,6 @@ def check_b_ratio_unlabeled(base: list[int]) -> list[int]:
     ``base`` holds unlabeled split counts s~_0..s~_m; the bicolored values
     are their partial sums, read off the unlabeled chain.
     """
-    check_unlabeled_base(base)
     btilde = derive_unlabeled_chain(base)["BC"]
     violations = []
     for n in range(1, len(btilde)):
@@ -241,8 +240,8 @@ def ratio_report(n_max: int, unlabeled_base: list[int] | None = None) -> RatioRe
     follow, including the observational b~_n * n!/b_n column.  The chain's
     cap ``MAX_CHAIN_ORDER`` caps n_max and m.
     """
-    if unlabeled_base is not None:
-        check_unlabeled_base(unlabeled_base)
+    # the unlabeled chain checks its base, so a bad base fails before the labeled chain is built
+    tilde = None if unlabeled_base is None else derive_unlabeled_chain(unlabeled_base)
     chain = derive_labeled_chain(check_size(n_max, what="n_max"))
     b, u, s = chain["BC"], chain["U"], chain["S"]
     rows = [RatioRow(n=n, b_ratio=_b_ratio(n, b[n]), s_over_b=_decimal(s[n], b[n]),
@@ -250,8 +249,7 @@ def ratio_report(n_max: int, unlabeled_base: list[int] | None = None) -> RatioRe
                      bound_holds=_u_over_s_within_bound(u[n], s[n], n))
             for n in range(1, n_max + 1)]
     unlabeled_rows = []
-    if unlabeled_base is not None:
-        tilde = derive_unlabeled_chain(unlabeled_base)
+    if tilde is not None:
         for n in range(1, len(unlabeled_base)):
             s_t, b_t, u_t = tilde["S"][n], tilde["BC"][n], tilde["U"][n]
             unlabeled_rows.append(UnlabeledRatioRow(

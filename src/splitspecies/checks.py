@@ -169,9 +169,8 @@ def random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[d
                              "graph": g.to_json()})
 
     n = min(max_n, 7)
-    data = enumeration._split_data(n)
-    kcanonical = [w for w, cls in zip(data.words, data.classes) if cls == enumeration._KCAN]
-    ambiguous = [w for w, cls in zip(data.words, data.classes) if cls == enumeration._AMB]
+    kcanonical = list(enumeration._labeled_keys(n, T.K_CANONICAL))
+    ambiguous = list(enumeration._labeled_keys(n, T.AMBIGUOUS))
     skipped = []
     if not kcanonical:
         skipped.append({"class": "k-canonical", "n": n, "checks": [

@@ -65,10 +65,11 @@ def split_labeled_bp(n: int) -> int:
     k = 2 starts at 0 (the whole terms start at k = 2); the whole term of
     k = n, (2^n - 1)^0, is the constant 1 added with the leading 1.
 
-    Raises NonIntegralResult if the total fails to come out an integer
-    (which would mean an implementation error, not an input error).
+    MAX_FORMULA_N caps n, as it caps the closed form this sum is checked
+    against.  Raises NonIntegralResult if the total fails to come out an
+    integer (which would mean an implementation error, not an input error).
     """
-    check_size(n, low=1)
+    check_size(n, low=1, high=MAX_FORMULA_N)
     total = 0  # every pass, all over the one denominator n + 1
     for k in range(2, n + 1):
         m = n - k

@@ -417,12 +417,6 @@ class Census(Record):
             {ClassTag(k): v for k, v in data["unlabeled"].items()},
         )
 
-    def to_csv(self) -> str:
-        lines = ["n,tag,labeled,unlabeled"]
-        for t in ClassTag:
-            lines.append(f"{self.n},{t.value},{self.labeled[t]},{self.unlabeled[t]}")
-        return "\n".join(lines) + "\n"
-
 
 def class_census(n: int) -> Census:
     """Every class count at size n, each read from its family, cross-asserted."""

@@ -350,10 +350,6 @@ def parse_graph_text(text: str) -> Graph:
     return make_graph(n, edges)
 
 
-def format_graph_text(g: Graph) -> str:
-    return "\n".join([str(g.n)] + [f"{i} {j}" for i, j in g.edges()]) + "\n"
-
-
 def load_file(path: str, parse: Callable[[str], T]) -> T:
     """Parse the text of a file.
 

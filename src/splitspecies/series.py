@@ -286,8 +286,11 @@ def derive_unlabeled_chain(base: Sequence[int]) -> dict[str, list[int]]:
 
         U = x/(1-x) * S        BC = 1/(1-x) * S        B = S - U
 
-    read on counts: BC_n = s~_0 + ... + s~_n and U_n = BC_n - s~_n.
+    read on counts: BC_n = s~_0 + ... + s~_n and U_n = BC_n - s~_n.  The
+    base is checked first (check_unlabeled_base); past that check a negative
+    count is a bug (NonIntegralResult).
     """
+    check_unlabeled_base(base)
     s = list(base)
     bc = list(accumulate(s))
     u = [t - x for t, x in zip(bc, s)]

@@ -72,6 +72,7 @@ BOUNDARY = {
     "cross-check-cap": (lambda: checks.cross_check(MAX_FORMULA_N + 1), TooLarge),
     "bicolored-cap": (lambda: counting.bicolored_labeled(MAX_FORMULA_N + 1), TooLarge),
     "split-cap": (lambda: counting.split_labeled(MAX_FORMULA_N + 1), TooLarge),
+    "split-bp-cap": (lambda: counting.split_labeled_bp(MAX_FORMULA_N + 1), TooLarge),
     "counts-all-graphs-cap": (
         lambda: checks.counts(ClassTag.ALL_GRAPHS, False, [MAX_FORMULA_N + 1]), TooLarge),
     "base-length-cap": (lambda: asymptotics.check_b_ratio_unlabeled(_base(MAX_CHAIN_ORDER + 2)),
@@ -105,6 +106,9 @@ BOUNDARY = {
     "base-string": (lambda: asymptotics.check_b_ratio_unlabeled("12"), MalformedInput),
     "report-base-below-partial-sum": (
         lambda: asymptotics.ratio_report(2, unlabeled_base=[1, 5, 2]), MalformedInput),
+    "unlabeled-chain-string-term": (lambda: series.derive_unlabeled_chain(["a"]), MalformedInput),
+    "unlabeled-chain-below-partial-sum": (
+        lambda: series.derive_unlabeled_chain([1, 5, 2]), MalformedInput),
     # other caller data
     "relabel-not-a-permutation": (
         lambda: graphs.relabel(graphs.make_graph(2, [(0, 1)]), (0, 0)), MalformedInput),
@@ -179,6 +183,7 @@ def test_sizes_at_the_bounds_still_work():
     assert len(series.derive_labeled_chain(0)["S"]) == 1
     assert graphs.make_graph(MAX_VERTICES, []).n == MAX_VERTICES
     assert counting.split_labeled(MAX_FORMULA_N) > 0
+    assert counting.split_labeled_bp(MAX_FORMULA_N) == counting.split_labeled(MAX_FORMULA_N)
     assert checks.counts(ClassTag.ALL_GRAPHS, False, [MAX_FORMULA_N])[MAX_FORMULA_N] > 0
     assert (asymptotics.check_b_ratio_unlabeled(_base(MAX_CHAIN_ORDER + 1))
             == list(range(7, MAX_CHAIN_ORDER + 1)))

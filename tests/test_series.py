@@ -7,6 +7,7 @@ import pytest
 
 from splitspecies.errors import (
     ConventionMismatch,
+    MalformedInput,
     NonIntegralResult,
     NotAUnit,
 )
@@ -224,7 +225,7 @@ def test_unlabeled_chain_matches_series_products(base):
 
 
 def test_unlabeled_chain_rejects_negative_counts():
-    with pytest.raises(NonIntegralResult):
+    with pytest.raises(MalformedInput):
         derive_unlabeled_chain([1, -3, 1])
 
 

@@ -3,8 +3,11 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import typing
 
 import pytest
@@ -99,14 +102,33 @@ ROUTE_BLINDNESS = {
 
 def test_routes_stay_blind_to_each_other():
     """The cross-route checks live in ``checks``, which only the command line
-    (and the package namespace, for ``cross_check``) imports; the closed forms
-    and the series chain never reach into the oracle, nor the oracle into them."""
+    (and the package namespace, which loads every module) imports; the closed
+    forms and the series chain never reach into the oracle, nor the oracle
+    into them."""
     imports = {path.stem: _package_imports(path) for path in sorted(PACKAGE_DIR.glob("*.py"))}
     found = [f"{module} imports checks" for module, names in imports.items()
              if "checks" in names and module not in ("cli", "__init__")]
     for module, banned in ROUTE_BLINDNESS.items():
         found += [f"{module} imports {name}" for name in sorted(imports[module] & banned)]
     assert found == []
+
+
+def test_the_package_namespace_binds_only_its_modules():
+    """Each public name has one import path, through the module that owns it.
+    The one other binding is ``split_labeled_bp``, which perfbench's
+    ``test_install_patches_every_binding`` reads from the package.  Importing
+    the package loads every module but ``cli``, so that perfbench's tracer
+    finds each one in ``sys.modules``."""
+    names = [name for name, value in vars(splitspecies).items()
+             if not name.startswith("_") and not inspect.ismodule(value)]
+    assert names == ["split_labeled_bp"]
+    probe = "import sys, splitspecies; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = {m.removeprefix("splitspecies.") for m in out.split() if m.startswith("splitspecies.")}
+    modules = {info.name for info in pkgutil.iter_modules(splitspecies.__path__)}
+    assert loaded == modules - {"cli"}
 
 
 def _annotation_names(module) -> dict:
