@@ -130,7 +130,7 @@ def _check_labels(labels: tuple[int, ...], n: int | None = None):
     if n is not None and len(labels) != n:
         raise LengthMismatch(f"{len(labels)} labels for {n} vertices")
     _check_integers(labels)
-    if any(a >= b for a, b in zip(labels, labels[1:])):
+    if list(labels) != sorted(set(labels)):
         raise MalformedInput(f"labels must be distinct and increasing, got {labels}")
     if labels and not (0 <= labels[0] and labels[-1] < MAX_VERTICES):
         raise OutOfRange(f"labels must lie in 0..{MAX_VERTICES - 1}, got {labels}")
@@ -183,11 +183,8 @@ def _induced(g: Graph, keep: int) -> tuple[tuple[int, ...], Graph]:
     rank = {lab: r for r, lab in enumerate(labels)}
     rows = [0] * len(labels)
     for r, lab in enumerate(labels):
-        t = g.rows[lab] & keep
-        while t:
-            b = t & -t
-            rows[r] |= 1 << rank[b.bit_length() - 1]
-            t ^= b
+        for u in bits_of(g.rows[lab] & keep):
+            rows[r] |= 1 << rank[u]
     return labels, Graph(len(labels), tuple(rows))
 
 

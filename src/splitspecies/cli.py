@@ -25,7 +25,7 @@ from .bijections import (amb_decompose, bicolored_to_split, cuk_decompose, split
                          uk_decompose)
 from .counting import MAX_FORMULA_N
 from .enumeration import CENSUS_MAX_N, ClassTag, enumerate_labeled
-from .errors import InternalError, SplitSpeciesError, check_size
+from .errors import InternalError, MalformedInput, SplitSpeciesError, check_size
 from .graphs import BicoloredGraph, TwoColoredGraph, load_file, load_graph
 from .series import MAX_CHAIN_ORDER, decimal
 from .structure import ColoredSplitGraph, classify_report, swing_report
@@ -174,7 +174,15 @@ def _cmd_asym(args) -> int:
     if args.unlabeled_base:  # ratio_report checks the values
         import json
 
-        base = load_file(args.unlabeled_base, lambda text: json.loads(text)["values"])
+        path = args.unlabeled_base
+
+        def values(text: str):
+            data = json.loads(text)
+            if not isinstance(data, dict) or "values" not in data:
+                raise MalformedInput(f'{path}: must be a JSON object with a "values" list')
+            return data["values"]
+
+        base = load_file(path, values)
     report = ratio_report(max_n, unlabeled_base=base)
     if args.format == "json":
         _emit_json(report.to_json())

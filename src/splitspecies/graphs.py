@@ -51,14 +51,8 @@ class Graph(Record):
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) pairs with i < j, in edge-word bit order."""
-        out = []
-        for j, r in enumerate(self.rows):
-            r &= (1 << j) - 1  # the neighbours i < j, ascending
-            while r:
-                b = r & -r
-                out.append((b.bit_length() - 1, j))
-                r ^= b
-        return out
+        return [(i, j) for j, r in enumerate(self.rows)
+                for i in bits_of(r & (1 << j) - 1)]  # the neighbours i < j, ascending
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -144,13 +138,10 @@ def relabel(g: Graph, p: Sequence[int]) -> Graph:
     if sorted(p) != list(range(g.n)):
         raise MalformedInput(f"not a permutation of 0..{g.n - 1}: {list(p)}")
     rows = [0] * g.n
-    for v in range(g.n):
-        r = g.rows[v]
+    for v, r in enumerate(g.rows):
         nr = 0
-        while r:
-            b = r & -r
-            nr |= 1 << p[b.bit_length() - 1]
-            r ^= b
+        for u in bits_of(r):
+            nr |= 1 << p[u]
         rows[p[v]] = nr
     return Graph(g.n, tuple(rows))
 
@@ -163,7 +154,7 @@ def complement(g: Graph) -> Graph:
 
 def degree_sequence(g: Graph) -> list[int]:
     """Vertex degrees, sorted non-increasing."""
-    return sorted((r.bit_count() for r in g.rows), reverse=True)
+    return sorted(map(int.bit_count, g.rows), reverse=True)
 
 
 def is_split(g: Graph) -> bool:
@@ -318,7 +309,27 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _byte_bits(low: int) -> list[tuple[int, ...]]:
+    """Entry b: the set bits of b, ascending, each plus ``low``; built by
+    doubling, one bit of the byte at a time."""
+    table = [()]
+    for i in range(low, low + 8):
+        table += [bits + (i,) for bits in table]
+    return table
+
+
+_LOW_BITS = _byte_bits(0)
+_HIGH_BITS = _byte_bits(8)
+
+
 def bits_of(mask: int) -> tuple[int, ...]:
+    """The set bits of a non-negative mask, ascending.
+
+    A mask below 2^16, which is every vertex mask, reads its two bytes from
+    the tables; a wider one, such as an edge word, walks its bits.
+    """
+    if mask <= 0xFFFF:
+        return _LOW_BITS[mask & 0xFF] + _HIGH_BITS[mask >> 8]
     out = []
     while mask:
         b = mask & -mask

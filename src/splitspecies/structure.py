@@ -16,6 +16,11 @@ graph is split (Hammer and Simeone), and any other partition differs from
 listing them takes O(n^2) bit tests.  Ground truth is not in the library:
 the subset-scan oracles in ``tests/conftest.py`` check these partitions.
 
+Inside the module a partition is the bit mask of its clique side (the
+stable side is the complement).  The swing report and the S-max and K-max
+selections work on those masks; ``KSPartition`` and ``ColoredSplitGraph``
+objects are built only for the partitions a public function returns.
+
 Conventions at the small end: the empty graph is balanced (its unique
 partition is empty/empty) and the one-vertex graph is ambiguous (its single
 vertex swings between the two partitions ({v}, {}) and ({}, {v})).  These
@@ -70,17 +75,19 @@ class SwingReport(Record):
     "stable" for |A| >= 2, "singleton" for |A| = 1, "empty" for |A| = 0.
     """
 
-    __slots__ = _fields = ("swings", "kind", "y", "z")
+    _fields = ("swings", "kind", "y", "z")
+    __slots__ = _fields + ("_swings",)  # the swing set as a mask
 
     def __init__(self, swings: tuple[int, ...], kind: str, y: tuple[int, ...],
-                 z: tuple[int, ...]):
+                 z: tuple[int, ...], swing_mask: int | None = None):
         object.__setattr__(self, "swings", swings)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "_swings", mask_of(swings) if swing_mask is None else swing_mask)
 
     def swing_mask(self) -> int:
-        return mask_of(self.swings)
+        return self._swings
 
     def to_json(self) -> dict:
         return {"swings": list(self.swings), "kind": self.kind,
@@ -88,23 +95,17 @@ class SwingReport(Record):
 
 
 def is_clique(g: Graph, mask: int) -> bool:
-    t = mask
-    while t:
-        b = t & -t
-        v = b.bit_length() - 1
-        t ^= b
-        if g.rows[v] & mask != mask ^ (1 << v):
+    rows = g.rows
+    for v in bits_of(mask):
+        if rows[v] & mask != mask ^ (1 << v):
             return False
     return True
 
 
 def is_stable(g: Graph, mask: int) -> bool:
-    t = mask
-    while t:
-        b = t & -t
-        v = b.bit_length() - 1
-        t ^= b
-        if g.rows[v] & mask:
+    rows = g.rows
+    for v in bits_of(mask):
+        if rows[v] & mask:
             return False
     return True
 
@@ -112,28 +113,39 @@ def is_stable(g: Graph, mask: int) -> bool:
 def ks_partitions(g: Graph) -> list[KSPartition]:
     """All clique/stable-set partitions of g, ordered by ascending K bit word.
 
-    Empty iff g is not split.  With degrees d_1 >= ... >= d_n and
-    m = max{i : d_i >= i - 1}, the first m vertices K0 form a clique and the
-    rest S0 a stable set iff g is split (Hammer and Simeone).  A clique meets
-    S0 in at most one vertex and a stable set meets K0 in at most one, so
-    every other partition is K0 - v, K0 + u or K0 - v + u (v in K0, u in
-    S0).  No u in S0 sees all of K0 (its degree would be >= m and push m
-    up), so K0 + u never occurs and the u of K0 - v + u misses v: both
-    remaining moves need a v with no neighbour in S0, and K0 - v + u needs
-    a u adjacent to all of K0 - v.
+    Empty iff g is not split.  The partitions are those of ``_clique_sides``.
+    """
+    full = g.vertex_mask()
+    return [_partition(km, full) for km in _clique_sides(g)]
+
+
+def _clique_sides(g: Graph) -> list[int]:
+    """The clique-side masks of all partitions of g, ascending; [] iff g is not split.
+
+    With degrees d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the first
+    m vertices K0 form a clique and the rest S0 a stable set iff g is split
+    (Hammer and Simeone).  A clique meets S0 in at most one vertex and a
+    stable set meets K0 in at most one, so every other partition is K0 - v,
+    K0 + u or K0 - v + u (v in K0, u in S0).  No u in S0 sees all of K0 (its
+    degree would be >= m and push m up), so K0 + u never occurs and the u
+    of K0 - v + u misses v: both remaining moves need a v with no neighbour
+    in S0, and K0 - v + u needs a u adjacent to all of K0 - v.
     """
     check_size(g.n, high=MAX_VERTICES, what="vertex count")
     rows = g.rows
-    order = sorted(range(g.n), key=lambda v: rows[v].bit_count(), reverse=True)
-    m = 0
-    for i, v in enumerate(order):
-        if rows[v].bit_count() >= i:
-            m = i + 1
-    full = g.vertex_mask()
-    k0 = mask_of(order[:m])
-    s0 = full ^ k0
-    if not (is_clique(g, k0) and is_stable(g, s0)):
+    degs = list(map(int.bit_count, rows))
+    order = sorted(range(g.n), key=degs.__getitem__, reverse=True)
+    m = top = 0  # d_i - i falls as i grows, so the i with d_i >= i - 1 form a prefix
+    while m < g.n and degs[order[m]] >= m:
+        top += degs[order[m]]
+        m += 1
+    # The degrees of K0 sum to m(m-1) + (those of S0) iff K0 is a clique and
+    # S0 stable: the two sides differ by twice the edges inside K0 minus twice
+    # those inside S0.
+    if 2 * top != m * (m - 1) + sum(degs):
         return []
+    k0 = mask_of(order[:m])
+    s0 = g.vertex_mask() ^ k0
     kms = [k0]
     for v in bits_of(k0):
         if rows[v] & s0:
@@ -141,7 +153,13 @@ def ks_partitions(g: Graph) -> list[KSPartition]:
         kv = k0 ^ 1 << v
         kms.append(kv)
         kms.extend(kv | 1 << u for u in bits_of(s0) if rows[u] & kv == kv)
-    return [KSPartition(bits_of(km), bits_of(full ^ km)) for km in sorted(kms)]
+    kms.sort()
+    return kms
+
+
+def _partition(km: int, full: int) -> KSPartition:
+    """The partition whose clique side is the mask km."""
+    return KSPartition(bits_of(km), bits_of(full ^ km))
 
 
 def clique_number(g: Graph) -> int:
@@ -164,25 +182,23 @@ def swing_report(g: Graph) -> SwingReport:
     """Identify the swing vertices of a split graph, definitionally.
 
     A vertex v swings iff some partition can be turned into another one by
-    moving v alone across the divide.  Requires is_split(g).
+    moving v alone across the divide: iff two listed clique sides differ in
+    v alone.  Requires is_split(g).
     """
-    parts = _partitions_checked(g)
+    kms = _clique_sides_checked(g)
     full = g.vertex_mask()
     swings = 0
     always_k = full
-    always_s = full
-    for p in parts:
-        km, sm = p.k_mask(), p.s_mask()
+    ever_k = 0
+    for i, km in enumerate(kms):
         always_k &= km
-        always_s &= sm
-        for v in p.k:  # movable K -> S: no neighbor inside S
-            if g.rows[v] & sm == 0:
-                swings |= 1 << v
-        for v in p.s:  # movable S -> K: adjacent to all of K
-            if g.rows[v] & km == km:
-                swings |= 1 << v
+        ever_k |= km
+        for other in kms[i + 1:]:
+            moved = km ^ other
+            if not moved & (moved - 1):  # one vertex changed sides
+                swings |= moved
     y = always_k & ~swings
-    z = always_s & ~swings
+    z = full & ~ever_k & ~swings
     count = swings.bit_count()
     if count == 0:
         kind = KIND_EMPTY
@@ -194,7 +210,7 @@ def swing_report(g: Graph) -> SwingReport:
         kind = KIND_STABLE
     else:
         raise BrokenInvariant("swing set neither clique nor stable")
-    return SwingReport(bits_of(swings), kind, bits_of(y), bits_of(z))
+    return SwingReport(bits_of(swings), kind, bits_of(y), bits_of(z), swings)
 
 
 def classify(g: Graph) -> SplitClass:
@@ -213,16 +229,22 @@ def classify_report(rep: SwingReport) -> SplitClass:
 
 def s_max_partitions(g: Graph) -> list[KSPartition]:
     """All partitions whose stable side has maximum size alpha(g)."""
-    parts = _partitions_checked(g)
-    alpha = max(len(p.s) for p in parts)
-    return [p for p in parts if len(p.s) == alpha]
+    full = g.vertex_mask()
+    return [_partition(km, full) for km in _sized_sides(g, min)]
 
 
 def k_max_partitions(g: Graph) -> list[KSPartition]:
     """All partitions whose clique side has maximum size omega(g)."""
-    parts = _partitions_checked(g)
-    omega = max(len(p.k) for p in parts)
-    return [p for p in parts if len(p.k) == omega]
+    full = g.vertex_mask()
+    return [_partition(km, full) for km in _sized_sides(g, max)]
+
+
+def _sized_sides(g: Graph, pick) -> list[int]:
+    """The clique-side masks whose size is the one ``pick`` (min or max) chooses:
+    min gives the S-max partitions, max the K-max ones."""
+    kms = _clique_sides_checked(g)
+    size = pick(km.bit_count() for km in kms)
+    return [km for km in kms if km.bit_count() == size]
 
 
 def canonical_partition(g: Graph) -> KSPartition | None:
@@ -243,11 +265,11 @@ def canonical_partition(g: Graph) -> KSPartition | None:
     return part
 
 
-def _partitions_checked(g: Graph) -> list[KSPartition]:
-    parts = ks_partitions(g)
-    if not parts:
+def _clique_sides_checked(g: Graph) -> list[int]:
+    kms = _clique_sides(g)
+    if not kms:
         raise NotSplit("graph has no clique/stable-set partition")
-    return parts
+    return kms
 
 
 # ---------------------------------------------------------------------------
@@ -275,4 +297,5 @@ class ColoredSplitGraph(TwoColoredGraph):
 
 def all_colorings(g: Graph) -> list[ColoredSplitGraph]:
     """Every colored split graph over g: one per S-max partition."""
-    return [ColoredSplitGraph(g, p.k, p.s) for p in s_max_partitions(g)]
+    full = g.vertex_mask()
+    return [ColoredSplitGraph(g, bits_of(km), bits_of(full ^ km)) for km in _sized_sides(g, min)]

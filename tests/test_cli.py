@@ -461,6 +461,14 @@ def test_asym_json_with_unlabeled_base(capsys):
     assert len(data["rows"]) == 6 and len(data["unlabeled_rows"]) == 7
 
 
+@pytest.mark.parametrize("content", ["[1, 5, 2]", "{}"], ids=["bare-list", "no-values"])
+def test_asym_base_without_values_object_names_the_shape(capsys, tmp_path, content):
+    path = write_graph(tmp_path, "base.json", content)
+    code, out, err = run_cli(capsys, "asym", "--max-n", "3", "--unlabeled-base", path)
+    assert code == 3 and out == ""
+    assert err == f'error: {path}: must be a JSON object with a "values" list\n'
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "formulas", "--max-n", "501"),
     ("asym", "--max-n", "401"),
@@ -690,11 +698,12 @@ def test_a_bicolored_key_with_an_isolated_green_vertex_exits_4(capsys, monkeypat
 
 def test_broken_swing_invariant_exits_4(capsys, tmp_path, monkeypatch):
     """A partition list whose swing set is neither a clique nor a stable set
-    is a bug, not bad input: exit 4, not 3."""
+    is a bug, not bad input: exit 4, not 3.  Each of the listed clique sides
+    {0}, {1}, {2} is the empty one plus one vertex, so on the one-edge graph
+    all three vertices swing."""
     from splitspecies import structure
 
-    monkeypatch.setattr(structure, "ks_partitions",
-                        lambda g: [structure.KSPartition((), (0, 1, 2))])
+    monkeypatch.setattr(structure, "_clique_sides", lambda g: [0b000, 0b001, 0b010, 0b100])
     path = write_graph(tmp_path, "edge.g", "3\n0 1\n")
     code, out, err = run_cli(capsys, "classify", "--graph", path)
     assert code == 4 and out == ""

@@ -11,6 +11,7 @@ from splitspecies.errors import LengthMismatch, OutOfRange, SelfLoop, TooLarge
 from splitspecies.graphs import (
     BicoloredGraph,
     Graph,
+    bits_of,
     canonical_code,
     canonical_code_bicolored,
     complement,
@@ -235,3 +236,19 @@ def test_text_and_json_round_trips():
     assert graph_from_json(g.to_json()) == g
     b = make_bicolored(3, [(0, 2)], [0])
     assert BicoloredGraph.from_json(b.to_json()) == b
+
+
+def _bits_by_loop(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_bits_of_matches_the_bit_loop():
+    """Every vertex mask (below 2^16, read from the byte tables), the edges of
+    that range, and seeded edge words of n = 8 (below 2^28, walked)."""
+    assert bits_of(0) == ()
+    for mask in range(1 << 16):
+        assert bits_of(mask) == _bits_by_loop(mask)
+    rng = random.Random(16)
+    wide = [(1 << 16) - 1, 1 << 16, (1 << 28) - 1] + [rng.getrandbits(28) for _ in range(2000)]
+    for mask in wide:
+        assert bits_of(mask) == _bits_by_loop(mask)

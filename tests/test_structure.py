@@ -134,6 +134,32 @@ def test_ks_partitions_and_swings_match_oracle_on_random_split_graphs():
     assert boundary_ties >= 10 and non_split >= 10, (boundary_ties, non_split)
 
 
+def test_s_max_and_k_max_selections_match_oracle_on_random_split_graphs():
+    """n = 8..12, past the census: the S-max and K-max partitions and the
+    colorings are the oracle's partitions with the largest stable or clique
+    side, in ascending K bit word."""
+    rng = random.Random(2025)
+    several_s = several_k = 0
+    for n in range(8, 13):
+        for _ in range(6):
+            g = _random_split_graph(rng, n)
+            parts = oracle_partitions(g)
+            alpha = max(len(s) for _, s in parts)
+            omega = max(len(k) for k, _ in parts)
+            s_max = {(k, s) for k, s in parts if len(s) == alpha}
+            k_max = {(k, s) for k, s in parts if len(k) == omega}
+            for got, expected in [(s_max_partitions(g), s_max), (k_max_partitions(g), k_max)]:
+                assert {(frozenset(p.k), frozenset(p.s)) for p in got} == expected
+                assert [p.k_mask() for p in got] == sorted(p.k_mask() for p in got)
+            colorings = all_colorings(g)
+            assert [(c.green, c.red) for c in colorings] == \
+                [(p.k, p.s) for p in s_max_partitions(g)]
+            assert all(c.graph == g for c in colorings)
+            several_s += len(s_max) > 1
+            several_k += len(k_max) > 1
+    assert several_s >= 10 and several_k >= 10, (several_s, several_k)
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_colored_validation_raises_not_s_max_iff_red_below_alpha(n):
     from splitspecies.enumeration import _split_words
