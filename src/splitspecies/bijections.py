@@ -130,7 +130,7 @@ def _check_labels(labels: tuple[int, ...], n: int | None = None):
     if n is not None and len(labels) != n:
         raise LengthMismatch(f"{len(labels)} labels for {n} vertices")
     _check_integers(labels)
-    if list(labels) != sorted(set(labels)):
+    if any(a >= b for a, b in zip(labels, labels[1:])):
         raise MalformedInput(f"labels must be distinct and increasing, got {labels}")
     if labels and not (0 <= labels[0] and labels[-1] < MAX_VERTICES):
         raise OutOfRange(f"labels must lie in 0..{MAX_VERTICES - 1}, got {labels}")

@@ -79,12 +79,12 @@ class SwingReport(Record):
     __slots__ = _fields + ("_swings",)  # the swing set as a mask
 
     def __init__(self, swings: tuple[int, ...], kind: str, y: tuple[int, ...],
-                 z: tuple[int, ...], swing_mask: int | None = None):
+                 z: tuple[int, ...]):
         object.__setattr__(self, "swings", swings)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "_swings", mask_of(swings) if swing_mask is None else swing_mask)
+        object.__setattr__(self, "_swings", mask_of(swings))
 
     def swing_mask(self) -> int:
         return self._swings
@@ -210,7 +210,7 @@ def swing_report(g: Graph) -> SwingReport:
         kind = KIND_STABLE
     else:
         raise BrokenInvariant("swing set neither clique nor stable")
-    return SwingReport(bits_of(swings), kind, bits_of(y), bits_of(z), swings)
+    return SwingReport(bits_of(swings), kind, bits_of(y), bits_of(z))
 
 
 def classify(g: Graph) -> SplitClass:
@@ -297,5 +297,4 @@ class ColoredSplitGraph(TwoColoredGraph):
 
 def all_colorings(g: Graph) -> list[ColoredSplitGraph]:
     """Every colored split graph over g: one per S-max partition."""
-    full = g.vertex_mask()
-    return [ColoredSplitGraph(g, bits_of(km), bits_of(full ^ km)) for km in _sized_sides(g, min)]
+    return [ColoredSplitGraph(g, p.k, p.s) for p in s_max_partitions(g)]
