@@ -19,31 +19,24 @@ Compositions take label sets drawn from the shared universe
 0..MAX_VERTICES - 1 (0..15); colliding labels raise LabelClash rather than
 being silently renamed.  Labels are distinct, so no composition can exceed
 MAX_VERTICES vertices.
+
+Pieces move between label sets in rank space (a core's vertex i is its i-th
+label): composing inserts the new labels' ranks into the remainder's rows and
+its green or clique-side mask, decomposing deletes the removed ranks, highest
+first, from the kept rows and the green mask, and relabeling moves the core
+by one rank permutation (``graphs.relabel``).  Edge lists appear only in JSON.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import (
-    BrokenInvariant,
-    IsolatedGreen,
-    LabelClash,
-    LengthMismatch,
-    MalformedInput,
-    OutOfRange,
-    TooSmall,
-    WrongClass,
-)
-from .graphs import MAX_VERTICES, BicoloredGraph, Graph, bits_of, mask_of
+from .errors import (BrokenInvariant, IsolatedGreen, LabelClash, LengthMismatch, MalformedInput,
+                     OutOfRange, TooSmall, WrongClass)
+from .graphs import MAX_VERTICES, BicoloredGraph, Graph, bits_of, mask_of, relabel
 from .graphs import _check_labels as _check_integers
 from .record import Record
-from .structure import (
-    ColoredSplitGraph,
-    SplitClass,
-    classify_report,
-    swing_report,
-)
+from .structure import ColoredSplitGraph, SplitClass, classify_report, swing_report
 
 
 class PointedSet(Record):
@@ -80,9 +73,8 @@ class EmbeddedGraph(Record):
         object.__setattr__(self, "core", core)
 
     def relabeled(self, p: Sequence[int]) -> "EmbeddedGraph":
-        images = _images(p, self.labels)
-        labels = tuple(sorted(images))
-        return EmbeddedGraph(labels, _graph_on(labels, _outer_edges(images, self.core)))
+        labels, ranks = _relabeling(p, self.labels)
+        return EmbeddedGraph(labels, relabel(self.core, ranks))
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels),
@@ -110,10 +102,9 @@ class EmbeddedColored(Record):
         return tuple(self.labels[v] for v in self.core.red)
 
     def relabeled(self, p: Sequence[int]) -> "EmbeddedColored":
-        images = _images(p, self.labels)
-        labels = tuple(sorted(images))
-        g = _graph_on(labels, _outer_edges(images, self.core.graph))
-        return _colored_on(labels, g, mask_of(images[v] for v in self.core.green))
+        labels, ranks = _relabeling(p, self.labels)
+        green = mask_of(ranks[v] for v in self.core.green)
+        return _colored_on(labels, relabel(self.core.graph, ranks), green)
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels),
@@ -136,32 +127,20 @@ def _check_labels(labels: tuple[int, ...], n: int | None = None):
         raise OutOfRange(f"labels must lie in 0..{MAX_VERTICES - 1}, got {labels}")
 
 
-def _images(p: Sequence[int], labels: tuple[int, ...]) -> list[int]:
-    """The image under p of each of the increasing labels."""
+def _relabeling(p: Sequence[int], labels: tuple[int, ...]) -> tuple[tuple, list[int]]:
+    """The images under p of the increasing labels, sorted, and the rank of each
+    label's image among them; the carrier built on the images checks them."""
     if labels and len(p) <= labels[-1]:
         raise LengthMismatch(f"a map of length {len(p)} has no image for label {labels[-1]}")
-    return [p[l] for l in labels]
+    images = [p[l] for l in labels]
+    order = sorted(range(len(images)), key=images.__getitem__)
+    return tuple(images[v] for v in order), sorted(range(len(order)), key=order.__getitem__)
 
 
-def _graph_on(labels: tuple[int, ...], edges: Iterable[tuple[int, int]]) -> Graph:
-    """The graph on the sorted labels whose vertex i is ``labels[i]``, with
-    ``edges`` given between labels.  The labels are checked first, so a
-    relabeling that merges labels or leaves 0..15 fails before any coloring."""
-    _check_labels(labels)
-    rank = {lab: r for r, lab in enumerate(labels)}
-    rows = [0] * len(labels)
-    for u, v in edges:
-        u, v = rank[u], rank[v]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(len(labels), tuple(rows))
-
-
-def _colored_on(labels: tuple[int, ...], core: Graph, green_mask: int) -> EmbeddedColored:
-    """``core`` on ``labels``, colored: the labels in ``green_mask`` green, the rest red."""
-    green = tuple(r for r, lab in enumerate(labels) if green_mask >> lab & 1)
-    red = tuple(r for r, lab in enumerate(labels) if not green_mask >> lab & 1)
-    return EmbeddedColored(labels, ColoredSplitGraph(core, green, red))
+def _colored_on(labels: tuple[int, ...], core: Graph, green: int) -> EmbeddedColored:
+    """``core`` on ``labels``, colored: the ranks in the mask ``green`` green, the rest red."""
+    red = core.vertex_mask() ^ green
+    return EmbeddedColored(labels, ColoredSplitGraph(core, bits_of(green), bits_of(red)))
 
 
 def _outer_edges(labels: Sequence[int], core: Graph) -> list[tuple[int, int]]:
@@ -177,15 +156,38 @@ def _as_embedded_graph(g) -> EmbeddedGraph:
     return g if isinstance(g, EmbeddedGraph) else EmbeddedGraph.whole(g)
 
 
-def _induced(g: Graph, keep: int) -> tuple[tuple[int, ...], Graph]:
-    """Subgraph on the vertices in ``keep``, with the kept labels returned."""
-    labels = bits_of(keep)
-    rank = {lab: r for r, lab in enumerate(labels)}
-    rows = [0] * len(labels)
-    for r, lab in enumerate(labels):
-        for u in bits_of(g.rows[lab] & keep):
-            rows[r] |= 1 << rank[u]
-    return labels, Graph(len(labels), tuple(rows))
+def _inserted(union: int, added: int, rows: Sequence[int],
+              side: int) -> tuple[tuple, Graph, int, int]:
+    """The labels ``added`` joined, as a clique, to the rank mask ``side`` of the
+    core ``rows`` on the other labels of ``union``: each new rank goes, lowest
+    first, into every row and ``side``, moving the bits from it up one.  Gives
+    all the labels, the graph, and the rank masks of the new vertices and ``side``."""
+    labels = bits_of(union)
+    ranks = [labels.index(v) for v in bits_of(added)]
+    masks = [*rows, side]
+    for r in ranks:
+        low = (1 << r) - 1
+        masks = [x & low | x >> r << r + 1 for x in masks]
+    side = masks.pop()
+    new = mask_of(ranks)
+    for r in ranks:
+        masks.insert(r, (new | side) ^ 1 << r)
+    for v in bits_of(side):
+        masks[v] |= new
+    return labels, Graph(len(masks), tuple(masks)), new, side
+
+
+def _deleted(g: Graph, gone: int, side: int = 0) -> tuple[Graph, int]:
+    """g without the vertices in ``gone``, and the mask ``side`` moved with it.
+
+    Each rank in ``gone`` leaves, highest first, the kept rows and ``side``,
+    moving the bits above it down one."""
+    masks = [x for v, x in enumerate(g.rows) if not gone >> v & 1] + [side]
+    for v in reversed(bits_of(gone)):
+        low = (1 << v) - 1
+        masks = [x & low | x >> v + 1 << v for x in masks]
+    side = masks.pop()
+    return Graph(len(masks), tuple(masks)), side
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +204,8 @@ def uk_decompose(g: Graph) -> tuple[tuple[int, ...], EmbeddedColored]:
     rep = swing_report(g)
     if classify_report(rep) is not SplitClass.K_CANONICAL:
         raise WrongClass("uk_decompose requires a k-canonical graph")
-    labels, sub = _induced(g, g.vertex_mask() ^ rep.swing_mask())
-    return rep.swings, _colored_on(labels, sub, mask_of(rep.y))
+    sub, green = _deleted(g, rep.swing_mask(), mask_of(rep.y))
+    return rep.swings, _colored_on(bits_of(g.vertex_mask() ^ rep.swing_mask()), sub, green)
 
 
 def uk_compose(a: Iterable[int], rest) -> EmbeddedGraph:
@@ -217,14 +219,16 @@ def uk_compose(a: Iterable[int], rest) -> EmbeddedGraph:
     if len(a_tuple) < 2:
         raise TooSmall("the attached swing set needs at least two vertices")
     _check_labels(a_tuple)
-    a_mask = mask_of(a_tuple)
-    if a_mask & mask_of(rest.labels):
-        raise LabelClash(f"labels {bits_of(a_mask & mask_of(rest.labels))} appear on both sides")
-    labels = tuple(sorted(a_tuple + rest.labels))
-    edges = _outer_edges(rest.labels, rest.core.graph)
-    ends = a_tuple + rest.green_labels()  # A is a clique joined to every green vertex
-    edges += [(u, v) for i, u in enumerate(a_tuple) for v in ends[i + 1:]]
-    return EmbeddedGraph(labels, _graph_on(labels, edges))
+    labels, g, _, _ = _attached(a_tuple, rest)
+    return EmbeddedGraph(labels, g)
+
+
+def _attached(a: tuple[int, ...], rest: EmbeddedColored) -> tuple[tuple, Graph, int, int]:
+    """The checked labels ``a`` attached to ``rest``, joined to its green side."""
+    a_mask, rest_mask = mask_of(a), mask_of(rest.labels)
+    if a_mask & rest_mask:
+        raise LabelClash(f"labels {bits_of(a_mask & rest_mask)} appear on both sides")
+    return _inserted(a_mask | rest_mask, a_mask, rest.core.graph.rows, rest.core.green_mask())
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +244,8 @@ def amb_decompose(g: Graph) -> tuple[int, EmbeddedGraph]:
     if classify_report(rep) is not SplitClass.AMBIGUOUS:
         raise WrongClass("amb_decompose requires an ambiguous graph")
     (a,) = rep.swings
-    labels, sub = _induced(g, g.vertex_mask() ^ (1 << a))
-    return a, EmbeddedGraph(labels, sub)
+    sub, _ = _deleted(g, 1 << a)
+    return a, EmbeddedGraph(bits_of(g.vertex_mask() ^ 1 << a), sub)
 
 
 def amb_compose(a: int, h) -> EmbeddedGraph:
@@ -257,10 +261,8 @@ def amb_compose(a: int, h) -> EmbeddedGraph:
     rep = swing_report(h.core)
     if classify_report(rep) is not SplitClass.BALANCED:
         raise WrongClass("amb_compose requires a balanced graph")
-    labels = tuple(sorted(h.labels + (a,)))
-    edges = _outer_edges(h.labels, h.core)
-    edges += [(a, h.labels[y]) for y in rep.y]  # the clique side of the unique partition
-    return EmbeddedGraph(labels, _graph_on(labels, edges))
+    labels, g, _, _ = _inserted(mask_of(h.labels) | 1 << a, 1 << a, h.core.rows, mask_of(rep.y))
+    return EmbeddedGraph(labels, g)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +286,9 @@ def cuk_decompose(c) -> tuple[PointedSet, EmbeddedColored]:
         raise BrokenInvariant("an S-max coloring has exactly one red swing vertex")
     point_internal = red_swings.bit_length() - 1
     ps = PointedSet(tuple(c.labels[v] for v in rep.swings), c.labels[point_internal])
-    sub_labels, sub = _induced(core.graph, core.graph.vertex_mask() ^ a_mask)
-    outer = tuple(c.labels[l] for l in sub_labels)
-    return ps, _colored_on(outer, sub, mask_of(c.green_labels()))
+    sub, green = _deleted(core.graph, a_mask, core.green_mask())
+    outer = tuple(c.labels[v] for v in bits_of(core.graph.vertex_mask() ^ a_mask))
+    return ps, _colored_on(outer, sub, green)
 
 
 def cuk_compose(ps: PointedSet, rest) -> EmbeddedColored:
@@ -295,10 +297,8 @@ def cuk_compose(ps: PointedSet, rest) -> EmbeddedColored:
     The point turns red, the other new vertices green; the underlying graph is
     the uk composition on ps.elements.
     """
-    rest = _as_embedded_colored(rest)
-    composed = uk_compose(ps.elements, rest)
-    green = (mask_of(ps.elements) ^ 1 << ps.point) | mask_of(rest.green_labels())
-    return _colored_on(composed.labels, composed.core, green)
+    labels, g, new, green = _attached(ps.elements, _as_embedded_colored(rest))
+    return _colored_on(labels, g, new ^ 1 << labels.index(ps.point) | green)
 
 
 # ---------------------------------------------------------------------------

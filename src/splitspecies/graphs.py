@@ -263,7 +263,7 @@ class TwoColoredGraph(Record):
     @classmethod
     def from_json(cls, data: dict):
         g = graph_from_json(data)
-        green, red = tuple(data["green"]), tuple(data["red"])
+        green, red = map(tuple, _json_values(data, "green", "red"))
         _check_labels(green + red)
         return cls(g, tuple(sorted(green)), tuple(sorted(red)))
 
@@ -343,9 +343,22 @@ def graph_from_json(data: dict) -> Graph:
 
     An endpoint that is not an int, a bool included, raises MalformedInput.
     """
-    edges = [tuple(e) for e in data["edges"]]
+    n, edges = _json_values(data, "n", "edges")
+    edges = [tuple(e) for e in edges]
     _check_labels(itertools.chain.from_iterable(edges))
-    return make_graph(data["n"], edges)
+    return make_graph(n, edges)
+
+
+def _json_values(data, *keys: str) -> list:
+    """The values of ``keys`` in the decoded JSON object ``data``; MalformedInput
+    names the keys missing, or says that ``data`` is not an object."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"expected a JSON object with the keys {', '.join(keys)}, "
+                             f"got a {type(data).__name__}")
+    missing = [f'"{key}"' for key in keys if key not in data]
+    if missing:
+        raise MalformedInput(f"the JSON object has no key {' or '.join(missing)}")
+    return [data[key] for key in keys]
 
 
 def parse_graph_text(text: str) -> Graph:

@@ -4,7 +4,9 @@ Round trips run both ways: compose(decompose(x)) over every class member up
 to n = 6 (random at 7), and decompose(compose(a, rest)) over every composable
 input, with the rest embedded in every possible label subset.  Equivariance
 (the maps commute with relabeling) is exhausted over all permutations up to
-n = 5 and sampled above.
+n = 5 and sampled above.  Seeded graphs at n = 12..16, the sizes of the
+benchmark's graphs, take all four pairs through both round trips and both
+kinds of relabeling, and pin their outputs.
 """
 
 import hashlib
@@ -37,7 +39,7 @@ from splitspecies.errors import (
     TooSmall,
     WrongClass,
 )
-from splitspecies.graphs import Graph, make_bicolored, make_graph, relabel
+from splitspecies.graphs import BicoloredGraph, Graph, complement, make_bicolored, make_graph, relabel
 from splitspecies.structure import (
     ColoredSplitGraph,
     SplitClass,
@@ -457,3 +459,185 @@ def test_relabeled_refuses_a_map_that_is_not_injective(carrier, p):
 def test_relabeled_refuses_an_image_outside_the_label_universe(carrier, p):
     with pytest.raises(OutOfRange):
         _embedded_p3(carrier).relabeled(p)
+
+
+# ---------------------------------------------------------------------------
+# Seeded round trips, equivariance and pinned outputs at n = 12..16
+# ---------------------------------------------------------------------------
+
+_KINDS = ("balanced", "ambiguous", "k-canonical", "s-canonical")
+
+
+def _balanced_rows(rng, n):
+    """Rows of a balanced split graph on n >= 4 vertices, with its clique mask.
+
+    The clique is 0..k-1 (2 <= k <= n - 2), the stable set k..n-1.  Every clique vertex
+    sees a stable vertex and every stable vertex misses a clique vertex, so no
+    vertex changes sides and no pair trades places: the partition is unique.
+    """
+    while True:
+        k = rng.randint(2, n - 2)
+        clique = (1 << k) - 1
+        rows = [clique ^ 1 << v if v < k else 0 for v in range(n)]
+        for v in range(k):
+            for u in range(k, n):
+                if rng.random() < 0.5:
+                    rows[v] |= 1 << u
+                    rows[u] |= 1 << v
+        if all(rows[v] >> k for v in range(k)) and \
+                all(rows[u] & clique != clique for u in range(k, n)):
+            return rows, clique
+
+
+def _split_graph(rng, n, kind):
+    """A graph of the class ``kind`` on n >= 6 vertices, its vertices shuffled.
+
+    A balanced graph plus a swing set A: A is a clique joined to the whole
+    clique side, one vertex for an ambiguous graph and 2..n-4 of them for a
+    k-canonical one; an s-canonical graph is the complement of a k-canonical one.
+    """
+    swings = {"balanced": 0, "ambiguous": 1}.get(kind, None)
+    if swings is None:
+        swings = rng.randint(2, n - 4)
+    rows, clique = _balanced_rows(rng, n - swings)
+    joined = clique | ((1 << n) - 1 ^ (1 << n - swings) - 1)
+    rows += [joined ^ 1 << v for v in range(n - swings, n)]
+    for v in range(n - swings):
+        if clique >> v & 1:
+            rows[v] |= joined ^ clique
+    g = Graph(n, tuple(rows))
+    if kind == "s-canonical":
+        g = complement(g)
+    p = list(range(n))
+    rng.shuffle(p)
+    g = relabel(g, p)
+    assert classify(g).value == kind
+    return g
+
+
+def _shuffled(rng, n):
+    p = list(range(n))
+    rng.shuffle(p)
+    return p
+
+
+def _image(p, labels):
+    return tuple(sorted(p[v] for v in labels))
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_round_trips_and_equivariance_at_workload_sizes(n):
+    """All four pairs on seeded graphs of n vertices: compose(decompose(g)) = g,
+    decompose(compose(a, rest)) = (a, rest) with the rest on a scattered label
+    set, decompositions commute with relabeling, and compositions with maps of
+    the whole universe 0..15 (so onto label sets with gaps)."""
+    rng = random.Random(f"bijections/{n}")
+    inserted, removed_top = set(), 0
+    for i in range(48):
+        kind = _KINDS[i % 4]
+        g = _split_graph(rng, n, kind)
+        whole = EmbeddedGraph.whole(g)
+        p, q = _shuffled(rng, n), _shuffled(rng, 16)
+        h = relabel(g, p)
+        if kind == "k-canonical":
+            a, rest = uk_decompose(g)
+            removed_top += n - 1 in a
+            assert uk_compose(a, rest) == whole
+            assert uk_decompose(h) == (_image(p, a), rest.relabeled(p))
+            assert uk_compose(_image(q, a), rest.relabeled(q)) == whole.relabeled(q)
+            inserted.update(_image(q, a))
+            for c in all_colorings(g):
+                ps, crest = cuk_decompose(c)
+                assert cuk_compose(ps, crest) == EmbeddedColored.whole(c)
+                moved = EmbeddedColored.whole(c).relabeled(p)
+                assert cuk_decompose(moved) == (
+                    PointedSet(_image(p, ps.elements), p[ps.point]), crest.relabeled(p))
+                qps = PointedSet(_image(q, ps.elements), q[ps.point])
+                assert cuk_compose(qps, crest.relabeled(q)) == EmbeddedColored.whole(c).relabeled(q)
+        elif kind == "ambiguous":
+            a, rest = amb_decompose(g)
+            removed_top += a == n - 1
+            assert amb_compose(a, rest) == whole
+            assert amb_decompose(h) == (p[a], rest.relabeled(p))
+            assert amb_compose(q[a], rest.relabeled(q)) == whole.relabeled(q)
+            inserted.add(q[a])
+        for c in all_colorings(g):
+            b = split_to_bicolored(c)
+            assert bicolored_to_split(b) == c
+            moved = EmbeddedColored.whole(c).relabeled(p).core
+            assert split_to_bicolored(moved) == BicoloredGraph(
+                relabel(b.graph, p), _image(p, b.green), _image(p, b.red))
+
+        # compositions onto a rest whose labels have gaps, the new labels anywhere in 0..n-1
+        if kind == "balanced" and n > 12:
+            a = rng.randrange(n)
+            rest = EmbeddedGraph(tuple(v for v in range(n) if v != a), _split_graph(rng, n - 1, kind))
+            out = amb_compose(a, rest)
+            assert out.labels == tuple(range(n)) and amb_decompose(out.core) == (a, rest)
+            inserted.add(a)
+        colored = all_colorings(_split_graph(rng, n - 3, kind))
+        a = tuple(sorted(rng.sample(range(n), 3)))
+        rest = EmbeddedColored(tuple(v for v in range(n) if v not in a), rng.choice(colored))
+        out = uk_compose(a, rest)
+        assert out.labels == tuple(range(n)) and uk_decompose(out.core) == (a, rest)
+        ps = PointedSet(a, rng.choice(a))
+        out = cuk_compose(ps, rest)
+        assert out.labels == tuple(range(n)) and cuk_decompose(out) == (ps, rest)
+        inserted.update(a)
+    assert {0, n - 1} <= inserted and removed_top  # ranks inserted at both ends, the top one deleted
+    if n == 16:
+        assert 15 in inserted
+
+
+# sha256 of the JSON lines of ``_bijection_outputs_at_workload_sizes``, pinned
+# while every map still moved its pieces through edge lists
+LARGE_BIJECTION_OUTPUTS_SHA256 = "f2ba988356a3b1115e74d379201a12091d72315703a39edc94791b51375b3771"
+
+
+def _bijection_outputs_at_workload_sizes():
+    """200 seeded graphs at n = 12..16, 40 of each class: the swing report,
+    each decomposition and its composition, the composition of the images
+    under a map of 0..15, every coloring's bicolored round trip and cuk pair,
+    compositions onto scattered label sets, and every piece relabeled."""
+    rng = random.Random("bijection-outputs")
+    for i in range(200):
+        n, kind = 12 + i % 5, _KINDS[i // 5 % 4]
+        g = _split_graph(rng, n, kind)
+        q = _shuffled(rng, 16)
+        rep = swing_report(g)
+        yield [kind, rep.to_json()]
+        pieces = [EmbeddedGraph.whole(g)]
+        if kind == "k-canonical":
+            a, rest = uk_decompose(g)
+            pieces.append(rest)
+            yield [list(a), rest.to_json(), uk_compose(a, rest).to_json(),
+                   uk_compose(_image(q, a), rest.relabeled(q)).to_json()]
+        elif kind == "ambiguous":
+            a, rest = amb_decompose(g)
+            pieces.append(rest)
+            yield [a, rest.to_json(), amb_compose(a, rest).to_json(),
+                   amb_compose(q[a], rest.relabeled(q)).to_json()]
+        elif kind == "balanced" and n < 16:
+            yield amb_compose(q[n], EmbeddedGraph.whole(g).relabeled(q)).to_json()
+        for c in all_colorings(g):
+            b = split_to_bicolored(c)
+            yield [c.to_json(), b.to_json(), bicolored_to_split(b).to_json()]
+            whole = EmbeddedColored.whole(c)
+            pieces.append(whole)
+            if n < 15:
+                yield uk_compose((q[n], q[n + 1]), whole.relabeled(q)).to_json()
+            if kind == "k-canonical":
+                ps, rest = cuk_decompose(c)
+                pieces.append(rest)
+                qps = PointedSet(_image(q, ps.elements), q[ps.point])
+                yield [ps.to_json(), rest.to_json(), cuk_compose(ps, rest).to_json(),
+                       cuk_compose(qps, rest.relabeled(q)).to_json()]
+        for piece in pieces:
+            yield [piece.relabeled(p).to_json() for p in (q, _shuffled(rng, 16))]
+
+
+def test_bijection_outputs_at_workload_sizes_are_pinned():
+    digest = hashlib.sha256()
+    for out in _bijection_outputs_at_workload_sizes():
+        digest.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == LARGE_BIJECTION_OUTPUTS_SHA256

@@ -285,6 +285,25 @@ def test_biject_colored_maps(capsys, tmp_path):
     assert json.loads(out)["result"]["edges"] == colored["edges"]
 
 
+def test_biject_names_the_keys_a_wrapped_result_lacks(capsys, tmp_path):
+    """The wrapped output of split-to-bicolored is not a bicolored graph: fed
+    back unchanged, it is refused with exit 3 and the missing keys named."""
+    colored = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "green": [1, 2], "red": [0, 3]}
+    path = os.path.join(tmp_path, "colored.json")
+    with open(path, "w") as f:
+        json.dump(colored, f)
+    code, wrapped, _ = run_cli(capsys, "biject", "--map", "split-to-bicolored", "--input", path)
+    assert code == 0
+    wrapped_path = os.path.join(tmp_path, "wrapped.json")
+    with open(wrapped_path, "w") as f:
+        f.write(wrapped)
+    code, out, err = run_cli(capsys, "biject", "--map", "bicolored-to-split", "--input", wrapped_path)
+    assert code == 3 and out == ""
+    assert err == 'error: the JSON object has no key "n" or "edges"\n'
+    code, out, err = run_cli(capsys, "classify", "--graph", wrapped_path)
+    assert code == 3 and out == "" and '"edges"' in err and "KeyError" not in err
+
+
 def test_verify_identities_passes_and_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
     code2, out2, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")

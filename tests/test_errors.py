@@ -146,6 +146,17 @@ BOUNDARY = {
         {"n": 2, "edges": [[0, 1]], "green": ["a"], "red": [1]}), MalformedInput),
     "bicolored-mixed-labels": (lambda: BicoloredGraph.from_json(
         {"n": 2, "edges": [], "green": [1, "a"], "red": []}), MalformedInput),
+    # JSON objects without a key the carrier needs, and JSON that is no object
+    "graph-json-without-n": (lambda: graphs.graph_from_json({"edges": []}), MalformedInput),
+    "graph-json-without-edges": (lambda: graphs.graph_from_json({"n": 2}), MalformedInput),
+    "graph-json-list": (lambda: graphs.graph_from_json([2, []]), MalformedInput),
+    "colored-json-without-green": (lambda: structure.ColoredSplitGraph.from_json(
+        {"n": 1, "edges": [], "red": [0]}), MalformedInput),
+    "bicolored-json-without-red": (lambda: BicoloredGraph.from_json(
+        {"n": 1, "edges": [], "green": [0]}), MalformedInput),
+    "bicolored-json-wrapped": (lambda: BicoloredGraph.from_json(
+        {"map": "split-to-bicolored", "result": {"n": 0, "edges": [], "green": [], "red": []}}),
+        MalformedInput),
 }
 
 
