@@ -471,9 +471,10 @@ _KINDS = ("balanced", "ambiguous", "k-canonical", "s-canonical")
 def _balanced_rows(rng, n):
     """Rows of a balanced split graph on n >= 4 vertices, with its clique mask.
 
-    The clique is 0..k-1 (2 <= k <= n - 2), the stable set k..n-1.  Every clique vertex
-    sees a stable vertex and every stable vertex misses a clique vertex, so no
-    vertex changes sides and no pair trades places: the partition is unique.
+    The clique is 0..k-1 (2 <= k <= n - 2), the stable set k..n-1.  Every
+    clique vertex sees a stable vertex and every stable vertex misses a clique
+    vertex, so no vertex changes sides and no pair trades places: the
+    partition is unique.
     """
     while True:
         k = rng.randint(2, n - 2)
@@ -496,7 +497,7 @@ def _split_graph(rng, n, kind):
     clique side, one vertex for an ambiguous graph and 2..n-4 of them for a
     k-canonical one; an s-canonical graph is the complement of a k-canonical one.
     """
-    swings = {"balanced": 0, "ambiguous": 1}.get(kind, None)
+    swings = {"balanced": 0, "ambiguous": 1}.get(kind)
     if swings is None:
         swings = rng.randint(2, n - 4)
     rows, clique = _balanced_rows(rng, n - swings)
@@ -569,7 +570,7 @@ def test_round_trips_and_equivariance_at_workload_sizes(n):
                 relabel(b.graph, p), _image(p, b.green), _image(p, b.red))
 
         # compositions onto a rest whose labels have gaps, the new labels anywhere in 0..n-1
-        if kind == "balanced" and n > 12:
+        if kind == "balanced":
             a = rng.randrange(n)
             rest = EmbeddedGraph(tuple(v for v in range(n) if v != a), _split_graph(rng, n - 1, kind))
             out = amb_compose(a, rest)
@@ -585,8 +586,6 @@ def test_round_trips_and_equivariance_at_workload_sizes(n):
         assert out.labels == tuple(range(n)) and cuk_decompose(out) == (ps, rest)
         inserted.update(a)
     assert {0, n - 1} <= inserted and removed_top  # ranks inserted at both ends, the top one deleted
-    if n == 16:
-        assert 15 in inserted
 
 
 # sha256 of the JSON lines of ``_bijection_outputs_at_workload_sizes``, pinned
@@ -595,10 +594,10 @@ LARGE_BIJECTION_OUTPUTS_SHA256 = "f2ba988356a3b1115e74d379201a12091d72315703a39e
 
 
 def _bijection_outputs_at_workload_sizes():
-    """200 seeded graphs at n = 12..16, 40 of each class: the swing report,
-    each decomposition and its composition, the composition of the images
-    under a map of 0..15, every coloring's bicolored round trip and cuk pair,
-    compositions onto scattered label sets, and every piece relabeled."""
+    """200 seeded graphs, 40 of each size n = 12..16 and 50 of each class: the
+    swing report, each decomposition and its composition, the composition of
+    the images under a map of 0..15, every coloring's bicolored round trip and
+    cuk pair, compositions onto scattered label sets, and every piece relabeled."""
     rng = random.Random("bijection-outputs")
     for i in range(200):
         n, kind = 12 + i % 5, _KINDS[i // 5 % 4]
