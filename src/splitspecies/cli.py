@@ -174,15 +174,13 @@ def _cmd_asym(args) -> int:
     if args.unlabeled_base:  # ratio_report checks the values
         import json
 
-        path = args.unlabeled_base
-
         def values(text: str):
             data = json.loads(text)
             if not isinstance(data, dict) or "values" not in data:
-                raise MalformedInput(f'{path}: must be a JSON object with a "values" list')
+                raise MalformedInput('must be a JSON object with a "values" list')
             return data["values"]
 
-        base = load_file(path, values)
+        base = load_file(args.unlabeled_base, values)
     report = ratio_report(max_n, unlabeled_base=base)
     if args.format == "json":
         _emit_json(report.to_json())

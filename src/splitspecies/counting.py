@@ -98,8 +98,3 @@ def chain_count(key: str, n: int, *, upto: bool = False) -> int | list[int]:
     if key not in chain:
         raise OutOfRange(f"key must be one of {sorted(chain)}, got {key!r}")
     return chain[key] if upto else chain[key][n]
-
-
-def unbalanced_labeled(n: int) -> int:
-    """Labeled unbalanced split graphs, from the series chain."""
-    return chain_count("U", n)

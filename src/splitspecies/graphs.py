@@ -158,22 +158,27 @@ def degree_sequence(g: Graph) -> list[int]:
 
 
 def is_split(g: Graph) -> bool:
-    """Degree-sequence split test (Hammer-Simeone).
+    """Degree-sequence split test (``hammer_simeone_side``); the empty graph is split."""
+    return hammer_simeone_side(g) is not None
 
-    With degrees d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the graph
-    admits a clique/stable-set partition iff
 
-        sum_{i<=m} d_i  =  m(m-1) + sum_{i>m} d_i.
+def hammer_simeone_side(g: Graph) -> int | None:
+    """The clique-side mask of g's degree-order partition; None iff g is not split.
 
-    The empty graph counts as split (K = S = empty).
+    With degrees d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the first
+    m vertices K0 form a clique and the rest S0 a stable set iff g is split,
+    iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i (Hammer and Simeone): the two
+    sides differ by twice the edges inside K0 minus twice those inside S0.
     """
-    degs = degree_sequence(g)
-    m = 0
-    for i, d in enumerate(degs):
-        if d >= i:
-            m = i + 1
-    top = sum(degs[:m])
-    return top == m * (m - 1) + (sum(degs) - top)
+    degs = list(map(int.bit_count, g.rows))
+    m = top = k0 = 0
+    for v in sorted(range(g.n), key=degs.__getitem__, reverse=True):
+        if degs[v] < m:  # d_i - i falls as i grows, so the i with d_i >= i - 1 form a prefix
+            break
+        top += degs[v]
+        k0 |= 1 << v
+        m += 1
+    return k0 if 2 * top == m * (m - 1) + sum(degs) else None
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +227,10 @@ class TwoColoredGraph(Record):
     """Graph plus an ordered green/red partition of its vertices.
 
     The carrier shared by colored split graphs and bicolored graphs: the
-    constructor checks that green and red are sorted and partition the
-    vertex set, keeps both as masks, and hands them to ``_check_edges``,
-    where each subclass tests its own edge constraint.  The two colors are
+    constructor checks that every label is a vertex before it shifts any into
+    a mask, and that green and red are sorted and partition the vertex set,
+    keeps both as masks, and hands them to ``_check_edges``, where each
+    subclass tests its own edge constraint.  The two colors are
     an *ordered* pair: swapping them generally yields a different structure.
     """
 
@@ -232,7 +238,7 @@ class TwoColoredGraph(Record):
     __slots__ = _fields + ("_green", "_red")  # the two masks, kept from the check
 
     def __init__(self, graph: Graph, green: tuple[int, ...], red: tuple[int, ...]):
-        _check_labels(green + red)
+        _check_labels(green + red, graph.n)
         gm, rm = mask_of(green), mask_of(red)
         if gm & rm or (gm | rm) != graph.vertex_mask() \
                 or green != bits_of(gm) or red != bits_of(rm):
@@ -287,6 +293,8 @@ class BicoloredGraph(TwoColoredGraph):
 
 def make_bicolored(n: int, edges: Iterable[tuple[int, int]], green: Iterable[int]) -> BicoloredGraph:
     g = make_graph(n, edges)
+    green = tuple(green)  # read once, by the check and by the mask
+    _check_labels(green, n)
     gm = mask_of(green)
     return BicoloredGraph(g, bits_of(gm), bits_of(g.vertex_mask() ^ gm))
 
@@ -295,11 +303,14 @@ def make_bicolored(n: int, edges: Iterable[tuple[int, int]], green: Iterable[int
 # Mask/tuple helpers and serialization
 # ---------------------------------------------------------------------------
 
-def _check_labels(labels: Iterable) -> None:
-    """Raise MalformedInput unless every label is an int (a bool is not)."""
+def _check_labels(labels: Iterable, n: int | None = None) -> None:
+    """Raise MalformedInput unless every label is an int (a bool is not), and,
+    given n, OutOfRange unless each lies in 0..n-1; the first bad label decides."""
     for v in labels:
         if type(v) is not int:
             raise MalformedInput(f"vertex label must be an integer, got {v!r}")
+        if n is not None and not 0 <= v < n:
+            raise OutOfRange(f"vertex label {v} lies outside 0..{n - 1}")
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -380,13 +391,13 @@ def load_file(path: str, parse: Callable[[str], T]) -> T:
     A path that cannot be read (missing, a directory, ...) and text that
     does not parse (JSON nested too deeply to decode included) raise
     MalformedInput; the package's own domain errors (a label out of range,
-    a self-loop, ...) pass through unchanged.
+    a self-loop, ...) keep their type.  Each message starts with the path.
     """
     try:
         with open(path) as f:
             return parse(f.read())
-    except SplitSpeciesError:
-        raise
+    except SplitSpeciesError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except OSError as exc:
         raise MalformedInput(f"{path}: cannot be read ({exc.strerror or exc})") from exc
     except (ValueError, KeyError, TypeError, RecursionError) as exc:

@@ -22,7 +22,7 @@ series; computing both and comparing is one of the package's sanity checks.
 
 The derivation chains return integer counts, not series:
 ``derive_labeled_chain`` gets every labeled class from the bicolored closed
-form alone by binomial convolutions of count lists, and
+form alone, by one binomial convolution (cS = BC / E) and recurrences, and
 ``derive_unlabeled_chain`` gets the unlabeled ones from a supplied base of
 unlabeled split counts by running sums.  ``RationalSeries`` products of the
 named atoms are their independent check; no production path builds one.
@@ -237,25 +237,28 @@ def derive_labeled_chain(order: int) -> dict[str, list[int]]:
         S    = (1 - x) BC          U  = A * S          B = S - U
         cS   = BC / E              UK = E_{>=2} * cS   Uamb = x * B
 
-    read on counts: each product or quotient above is a binomial convolution
-    of count lists, with a_k = k! [x^k] A from a_k = k a_{k-1} - 2(-1)^k.
-    The same products of RationalSeries atoms are the independent check of
+    read on counts.  cS = BC / E is the one binomial convolution,
+    bc_n = sum_k C(n,k) cs_k.  E cS = BC and E_{>=2} = E - 1 - x give
+    UK = BC - (1 + x) cS, so uk_n = bc_n - cs_n - n cs_{n-1}.  With
+    A = (2 - x - 2e^{-x}) / (1 - x), e^{-x} S = (1 - x) cS gives
+    (1 - x) U = (2 - x) S - 2 (1 - x) cS, so u_n = n u_{n-1} + 2 s_n
+    - n s_{n-1} - 2 (cs_n - n cs_{n-1}).  Both are 0 at n = 0.  The
+    RationalSeries products of the named atoms are the independent check of
     these identities.  Every count is checked to be non-negative.
     """
     check_size(order, high=MAX_CHAIN_ORDER, what="chain order")
     from .counting import bicolored_labeled  # counting imports this module
 
-    bc, s, a, u, cs, uk = [], [], [], [], [], []
+    bc = [bicolored_labeled(0)]
+    s, cs, u, uk = bc[:], bc[:], [0], [0]
     row = [1]  # C(n, k) for k = 0..n, one Pascal row at a time
-    for n in range(order + 1):
-        if n:
-            row = [1] + [row[k - 1] + row[k] for k in range(1, n)] + [1]
+    for n in range(1, order + 1):
+        row = [1] + [row[k - 1] + row[k] for k in range(1, n)] + [1]
         bc.append(bicolored_labeled(n))
-        s.append(bc[n] - n * bc[n - 1] if n else bc[0])
-        a.append(n * a[n - 1] - 2 * (-1) ** n if n > 1 else n)
-        u.append(sum(row[k] * a[k] * s[n - k] for k in range(1, n + 1)))
+        s.append(bc[n] - n * bc[n - 1])
         cs.append(bc[n] - sum(row[k] * cs[k] for k in range(n)))
-        uk.append(sum(row[k] * cs[n - k] for k in range(2, n + 1)))
+        uk.append(bc[n] - cs[n] - n * cs[n - 1])
+        u.append(n * u[n - 1] + 2 * s[n] - n * s[n - 1] - 2 * (cs[n] - n * cs[n - 1]))
     b = [x - y for x, y in zip(s, u)]
     uamb = [n * b[n - 1] if n else 0 for n in range(order + 1)]
     counts = {"BC": bc, "S": s, "U": u, "B": b, "cS": cs, "UK": uk, "Uamb": uamb}

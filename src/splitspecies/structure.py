@@ -32,7 +32,8 @@ from __future__ import annotations
 import enum
 
 from .errors import BrokenInvariant, NotAPartition, NotSMax, NotSplit, check_size
-from .graphs import MAX_VERTICES, Graph, TwoColoredGraph, bits_of, complement, mask_of
+from .graphs import (MAX_VERTICES, Graph, TwoColoredGraph, bits_of, complement,
+                     hammer_simeone_side, mask_of)
 from .record import Record
 
 KIND_EMPTY = "empty"
@@ -122,29 +123,20 @@ def ks_partitions(g: Graph) -> list[KSPartition]:
 def _clique_sides(g: Graph) -> list[int]:
     """The clique-side masks of all partitions of g, ascending; [] iff g is not split.
 
-    With degrees d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the first
-    m vertices K0 form a clique and the rest S0 a stable set iff g is split
-    (Hammer and Simeone).  A clique meets S0 in at most one vertex and a
-    stable set meets K0 in at most one, so every other partition is K0 - v,
-    K0 + u or K0 - v + u (v in K0, u in S0).  No u in S0 sees all of K0 (its
-    degree would be >= m and push m up), so K0 + u never occurs and the u
-    of K0 - v + u misses v: both remaining moves need a v with no neighbour
-    in S0, and K0 - v + u needs a u adjacent to all of K0 - v.
+    The m vertices of largest degree K0 form a clique and the rest S0 a
+    stable set whenever g is split (``graphs.hammer_simeone_side``).  A
+    clique meets S0 in at most one vertex and a stable set meets K0 in at
+    most one, so every other partition is K0 - v, K0 + u or K0 - v + u
+    (v in K0, u in S0).  No u in S0 sees all of K0 (its degree would be
+    >= m and push m up), so K0 + u never occurs and the u of K0 - v + u
+    misses v: both remaining moves need a v with no neighbour in S0, and
+    K0 - v + u needs a u adjacent to all of K0 - v.
     """
     check_size(g.n, high=MAX_VERTICES, what="vertex count")
-    rows = g.rows
-    degs = list(map(int.bit_count, rows))
-    order = sorted(range(g.n), key=degs.__getitem__, reverse=True)
-    m = top = 0  # d_i - i falls as i grows, so the i with d_i >= i - 1 form a prefix
-    while m < g.n and degs[order[m]] >= m:
-        top += degs[order[m]]
-        m += 1
-    # The degrees of K0 sum to m(m-1) + (those of S0) iff K0 is a clique and
-    # S0 stable: the two sides differ by twice the edges inside K0 minus twice
-    # those inside S0.
-    if 2 * top != m * (m - 1) + sum(degs):
+    k0 = hammer_simeone_side(g)
+    if k0 is None:
         return []
-    k0 = mask_of(order[:m])
+    rows = g.rows
     s0 = g.vertex_mask() ^ k0
     kms = [k0]
     for v in bits_of(k0):

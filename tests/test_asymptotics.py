@@ -25,7 +25,7 @@ from splitspecies.asymptotics import (
     u_over_s_bound_violations,
     u_over_s_monotone_from,
 )
-from splitspecies.counting import bicolored_labeled, split_labeled, unbalanced_labeled
+from splitspecies.counting import bicolored_labeled, chain_count, split_labeled
 from splitspecies.errors import BrokenInvariant, OutOfRange, TooLarge
 from splitspecies.series import derive_labeled_chain
 
@@ -145,12 +145,12 @@ def test_violations_form_initial_segment():
 
 
 def test_u_over_s_examples():
-    assert unbalanced_labeled(3) == split_labeled(3)  # ratio exactly 1 at n = 3
+    assert chain_count("U", 3) == split_labeled(3)  # ratio exactly 1 at n = 3
     # and the bound holds from the pinned threshold on
     pins = _thresholds()
     start = pins["u_over_s_bound_threshold"]
     for n in range(start, 60):
-        u, s = unbalanced_labeled(n), split_labeled(n)
+        u, s = chain_count("U", n), split_labeled(n)
         assert (1 << (n + 1)) * u * u <= n**4 * s * s
 
 

@@ -299,9 +299,32 @@ def test_biject_names_the_keys_a_wrapped_result_lacks(capsys, tmp_path):
         f.write(wrapped)
     code, out, err = run_cli(capsys, "biject", "--map", "bicolored-to-split", "--input", wrapped_path)
     assert code == 3 and out == ""
-    assert err == 'error: the JSON object has no key "n" or "edges"\n'
+    assert err == f'error: {wrapped_path}: the JSON object has no key "n" or "edges"\n'
     code, out, err = run_cli(capsys, "classify", "--graph", wrapped_path)
     assert code == 3 and out == "" and '"edges"' in err and "KeyError" not in err
+
+
+@pytest.mark.parametrize("label", [-1, 10**11], ids=["negative", "huge"])
+@pytest.mark.parametrize("map_name, carrier", [
+    ("bicolored-to-split", {"n": 2, "edges": [], "green": [0], "red": [1]}),
+    ("split-to-bicolored", {"n": 2, "edges": [[0, 1]], "green": [0, 1], "red": []}),
+], ids=["bicolored", "colored"])
+def test_biject_refuses_a_label_outside_the_vertices(capsys, tmp_path, label, map_name, carrier):
+    """A label outside 0..n-1 exits 3 with one error line that names the file
+    and no Python exception; 10^11 is refused before it is shifted into a mask."""
+    path = os.path.join(tmp_path, "carrier.json")
+    with open(path, "w") as f:
+        json.dump({**carrier, "red": carrier["red"] + [label]}, f)
+    code, out, err = run_cli(capsys, "biject", "--map", map_name, "--input", path)
+    assert code == 3 and out == ""
+    assert err == f"error: {path}: vertex label {label} lies outside 0..1\n"
+
+
+def test_a_graph_file_error_names_the_file(capsys, tmp_path):
+    path = write_graph(tmp_path, "g.json", '{"n": 2, "edges": [[0, 5]]}')
+    code, out, err = run_cli(capsys, "classify", "--graph", path)
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}: edge (0, 5) has an endpoint outside 0..1\n"
 
 
 def test_verify_identities_passes_and_is_deterministic(capsys):

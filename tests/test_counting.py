@@ -12,7 +12,6 @@ from splitspecies.counting import (
     chain_count,
     split_labeled,
     split_labeled_bp,
-    unbalanced_labeled,
 )
 from splitspecies.checks import cross_check
 from splitspecies.errors import NonIntegralResult
@@ -86,22 +85,22 @@ def test_formulas_agree_at_the_cap():
 
 
 def test_unbalanced_labeled_examples():
-    assert unbalanced_labeled(1) == 1
-    assert unbalanced_labeled(2) == 2
-    assert unbalanced_labeled(3) == 8
-    assert [unbalanced_labeled(n) for n in range(8)] == U_LABELED
+    assert chain_count("U", 1) == 1
+    assert chain_count("U", 2) == 2
+    assert chain_count("U", 3) == 8
+    assert [chain_count("U", n) for n in range(8)] == U_LABELED
     assert chain_count("B", 4) == 12
 
 
 def test_counts_partition():
     for n in range(0, 30):
-        assert unbalanced_labeled(n) + chain_count("B", n) == split_labeled(n)
+        assert chain_count("U", n) + chain_count("B", n) == split_labeled(n)
 
 
 def test_counters_monotone_nondecreasing():
     prev_s = prev_b = prev_u = 0
     for n in range(1, 40):
-        s, b, u = split_labeled(n), bicolored_labeled(n), unbalanced_labeled(n)
+        s, b, u = split_labeled(n), bicolored_labeled(n), chain_count("U", n)
         assert s >= prev_s and b >= prev_b and u >= prev_u
         prev_s, prev_b, prev_u = s, b, u
 

@@ -25,6 +25,9 @@ from splitspecies.graphs import CANON_MAX_VERTICES, MAX_VERTICES, BicoloredGraph
 from splitspecies.series import MAX_CHAIN_ORDER
 
 
+HUGE_LABEL = 10**11
+
+
 def _graph(n):
     return Graph(n, (0,) * n)
 
@@ -48,7 +51,6 @@ BOUNDARY = {
     "split-negative": (lambda: counting.split_labeled(-1), OutOfRange),
     "split-bp-zero": (lambda: counting.split_labeled_bp(0), OutOfRange),
     "chain-count-negative": (lambda: counting.chain_count("U", -1), OutOfRange),
-    "unbalanced-negative": (lambda: counting.unbalanced_labeled(-1), OutOfRange),
     "cross-check-negative": (lambda: checks.cross_check(-1), OutOfRange),
     "counts-negative": (lambda: checks.counts(ClassTag.ALL_GRAPHS, False, [3, -1]), OutOfRange),
     "counts-chain-negative": (lambda: checks.counts(ClassTag.BALANCED, False, [3, -1]),
@@ -146,6 +148,26 @@ BOUNDARY = {
         {"n": 2, "edges": [[0, 1]], "green": ["a"], "red": [1]}), MalformedInput),
     "bicolored-mixed-labels": (lambda: BicoloredGraph.from_json(
         {"n": 2, "edges": [], "green": [1, "a"], "red": []}), MalformedInput),
+    # vertex labels of two-colored graphs outside 0..n-1, refused before any
+    # shift: a negative one would raise a bare ValueError, 10^11 ask for a
+    # 12.5 GB mask
+    "colored-negative-label": (lambda: structure.ColoredSplitGraph(
+        graphs.make_graph(2, [(0, 1)]), (-1, 0), (1,)), OutOfRange),
+    "colored-huge-label": (lambda: structure.ColoredSplitGraph(
+        graphs.make_graph(2, [(0, 1)]), (0, 1), (HUGE_LABEL,)), OutOfRange),
+    "bicolored-negative-label": (lambda: BicoloredGraph(_graph(2), (-1,), (0, 1)), OutOfRange),
+    "bicolored-huge-label": (lambda: BicoloredGraph(_graph(2), (0,), (1, HUGE_LABEL)),
+                             OutOfRange),
+    "make-bicolored-negative-label": (lambda: graphs.make_bicolored(2, [], [-1]), OutOfRange),
+    "make-bicolored-huge-label": (lambda: graphs.make_bicolored(2, [], [HUGE_LABEL]), OutOfRange),
+    "colored-json-negative-label": (lambda: structure.ColoredSplitGraph.from_json(
+        {"n": 2, "edges": [[0, 1]], "green": [-1, 0], "red": [1]}), OutOfRange),
+    "colored-json-huge-label": (lambda: structure.ColoredSplitGraph.from_json(
+        {"n": 2, "edges": [[0, 1]], "green": [0, 1], "red": [HUGE_LABEL]}), OutOfRange),
+    "bicolored-json-negative-label": (lambda: BicoloredGraph.from_json(
+        {"n": 2, "edges": [], "green": [-1], "red": [0, 1]}), OutOfRange),
+    "bicolored-json-huge-label": (lambda: BicoloredGraph.from_json(
+        {"n": 2, "edges": [], "green": [HUGE_LABEL], "red": [0, 1]}), OutOfRange),
     # JSON objects without a key the carrier needs, and JSON that is no object
     "graph-json-without-n": (lambda: graphs.graph_from_json({"edges": []}), MalformedInput),
     "graph-json-without-edges": (lambda: graphs.graph_from_json({"n": 2}), MalformedInput),

@@ -1,5 +1,6 @@
 """Exact series arithmetic, named atoms, and the derivation chains."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from splitspecies.errors import (
 )
 from splitspecies.series import (
     EGF,
+    MAX_CHAIN_ORDER,
     OGF,
     SeriesName,
     constant,
     convert,
+    decimal,
     derive_labeled_chain,
     derive_unlabeled_chain,
     from_fractions,
@@ -183,6 +186,23 @@ def test_integer_chain_matches_series_products_to_60():
     assert (chain["BC"] / named(SeriesName.E, EGF, order)).coeffs == chain["cS"].coeffs
     assert (named(SeriesName.E_GE2, EGF, order) * chain["cS"]).coeffs == chain["UK"].coeffs
     assert (x * chain["B"]).coeffs == chain["Uamb"].coeffs
+
+
+# sha256 of the lines "<key> <count>" of derive_labeled_chain(MAX_CHAIN_ORDER),
+# key by key in the order below and n = 0..400 within each, pinned while the
+# chain still read U and UK off binomial convolutions
+LABELED_CHAIN_SHA256 = "00ecee464b2eff52c2bb3936d85ba1405fb2b3f38e907e82ec9f2e7efd4a095d"
+
+
+def test_labeled_chain_is_pinned_to_its_cap():
+    """Every count of every key that ``count --max-n`` and ``asym`` can serve."""
+    assert MAX_CHAIN_ORDER == 400
+    chain = derive_labeled_chain(MAX_CHAIN_ORDER)
+    digest = hashlib.sha256()
+    for key in ("BC", "S", "U", "B", "cS", "UK", "Uamb"):
+        for count in chain[key]:
+            digest.update(f"{key} {decimal(count)}\n".encode())
+    assert digest.hexdigest() == LABELED_CHAIN_SHA256
 
 
 def test_labeled_chain_integrality_to_100():
