@@ -149,7 +149,7 @@ BOUNDARY = {
     "bicolored-mixed-labels": (lambda: BicoloredGraph.from_json(
         {"n": 2, "edges": [], "green": [1, "a"], "red": []}), MalformedInput),
     # vertex labels of two-colored graphs outside 0..n-1, refused before any
-    # shift: a negative one would raise a bare ValueError, 10^11 ask for a
+    # shift: a negative one would raise a bare ValueError, 10^11 would ask for a
     # 12.5 GB mask
     "colored-negative-label": (lambda: structure.ColoredSplitGraph(
         graphs.make_graph(2, [(0, 1)]), (-1, 0), (1,)), OutOfRange),
