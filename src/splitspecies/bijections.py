@@ -24,7 +24,14 @@ Pieces move between label sets in rank space (a core's vertex i is its i-th
 label): composing inserts the new labels' ranks into the remainder's rows and
 its green or clique-side mask, decomposing deletes the removed ranks, highest
 first, from the kept rows and the green mask, and relabeling moves the core
-by one rank permutation (``graphs.relabel``).  Edge lists appear only in JSON.
+by one rank permutation.  Edge lists appear only in JSON.
+
+Labels are checked once, where they enter: by the public constructors, by
+the compositions for the labels they attach, and by ``relabeled`` for the
+images of its map.  A carrier built on labels read off a mask goes through
+the internal entries (``_Embedded.on`` and ``on_green``), which check only
+that the labels and the mask fit the core; a misfit there is a bug and
+raises BrokenInvariant.  Every colored carrier still passes its edge test.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ from typing import Iterable, Sequence
 
 from .errors import (BrokenInvariant, IsolatedGreen, LabelClash, LengthMismatch, MalformedInput,
                      OutOfRange, TooSmall, WrongClass)
-from .graphs import MAX_VERTICES, BicoloredGraph, Graph, bits_of, mask_of, relabel
-from .graphs import _check_labels as _check_integers
+from .graphs import MAX_VERTICES, BicoloredGraph, Graph, bits_of, mask_of
+from .graphs import _check_labels as _check_integers, _relabeled
 from .record import Record
 from .structure import ColoredSplitGraph, SplitClass, classify_report, swing_report
 
@@ -57,8 +64,8 @@ class PointedSet(Record):
         return {"elements": list(self.elements), "point": self.point}
 
 
-class EmbeddedGraph(Record):
-    """A graph living on an arbitrary label subset of 0..15.
+class _Embedded(Record):
+    """A core structure living on an arbitrary label subset of 0..15.
 
     ``labels[i]`` is the external label of the core's vertex i; labels are
     strictly increasing, so the embedding is canonical and equality is plain
@@ -67,33 +74,46 @@ class EmbeddedGraph(Record):
 
     __slots__ = _fields = ("labels", "core")
 
-    def __init__(self, labels: tuple[int, ...], core: Graph):
+    def __init__(self, labels: tuple[int, ...], core: Graph | ColoredSplitGraph):
         _check_labels(labels, core.n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "core", core)
 
+    @classmethod
+    def on(cls, labels: tuple[int, ...], core: Graph | ColoredSplitGraph):
+        """``core`` on labels the package read off a mask, hence increasing and
+        in 0..15: only their number is checked, and a wrong one raises
+        BrokenInvariant."""
+        if len(labels) != core.n:
+            raise BrokenInvariant(f"{len(labels)} labels for {core.n} vertices")
+        e = object.__new__(cls)
+        object.__setattr__(e, "labels", labels)
+        object.__setattr__(e, "core", core)
+        return e
+
+    @classmethod
+    def whole(cls, core: Graph | ColoredSplitGraph):
+        return cls(tuple(range(core.n)), core)
+
+
+class EmbeddedGraph(_Embedded):
+    """A graph living on an arbitrary label subset of 0..15."""
+
+    __slots__ = ()
+
     def relabeled(self, p: Sequence[int]) -> "EmbeddedGraph":
         labels, ranks = _relabeling(p, self.labels)
-        return EmbeddedGraph(labels, relabel(self.core, ranks))
+        return EmbeddedGraph.on(labels, _relabeled(self.core, ranks))
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels),
                 "edges": [list(e) for e in _outer_edges(self.labels, self.core)]}
 
-    @classmethod
-    def whole(cls, g: Graph) -> "EmbeddedGraph":
-        return cls(tuple(range(g.n)), g)
 
-
-class EmbeddedColored(Record):
+class EmbeddedColored(_Embedded):
     """A colored split graph living on an arbitrary label subset of 0..15."""
 
-    __slots__ = _fields = ("labels", "core")
-
-    def __init__(self, labels: tuple[int, ...], core: ColoredSplitGraph):
-        _check_labels(labels, core.n)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "core", core)
+    __slots__ = ()
 
     def green_labels(self) -> tuple[int, ...]:
         return tuple(self.labels[v] for v in self.core.green)
@@ -104,16 +124,12 @@ class EmbeddedColored(Record):
     def relabeled(self, p: Sequence[int]) -> "EmbeddedColored":
         labels, ranks = _relabeling(p, self.labels)
         green = mask_of(ranks[v] for v in self.core.green)
-        return _colored_on(labels, relabel(self.core.graph, ranks), green)
+        return _colored_on(labels, _relabeled(self.core.graph, ranks), green)
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels),
                 "edges": [list(e) for e in _outer_edges(self.labels, self.core.graph)],
                 "green": list(self.green_labels()), "red": list(self.red_labels())}
-
-    @classmethod
-    def whole(cls, c: ColoredSplitGraph) -> "EmbeddedColored":
-        return cls(tuple(range(c.n)), c)
 
 
 def _check_labels(labels: tuple[int, ...], n: int | None = None):
@@ -128,19 +144,20 @@ def _check_labels(labels: tuple[int, ...], n: int | None = None):
 
 
 def _relabeling(p: Sequence[int], labels: tuple[int, ...]) -> tuple[tuple, list[int]]:
-    """The images under p of the increasing labels, sorted, and the rank of each
-    label's image among them; the carrier built on the images checks them."""
+    """The images under p of the increasing labels, sorted and checked, and the
+    rank of each label's image among them: a permutation of the ranks."""
     if labels and len(p) <= labels[-1]:
         raise LengthMismatch(f"a map of length {len(p)} has no image for label {labels[-1]}")
     images = [p[l] for l in labels]
     order = sorted(range(len(images)), key=images.__getitem__)
-    return tuple(images[v] for v in order), sorted(range(len(order)), key=order.__getitem__)
+    images = tuple(images[v] for v in order)
+    _check_labels(images)
+    return images, sorted(range(len(order)), key=order.__getitem__)
 
 
 def _colored_on(labels: tuple[int, ...], core: Graph, green: int) -> EmbeddedColored:
     """``core`` on ``labels``, colored: the ranks in the mask ``green`` green, the rest red."""
-    red = core.vertex_mask() ^ green
-    return EmbeddedColored(labels, ColoredSplitGraph(core, bits_of(green), bits_of(red)))
+    return EmbeddedColored.on(labels, ColoredSplitGraph.on_green(core, green))
 
 
 def _outer_edges(labels: Sequence[int], core: Graph) -> list[tuple[int, int]]:
@@ -220,7 +237,7 @@ def uk_compose(a: Iterable[int], rest) -> EmbeddedGraph:
         raise TooSmall("the attached swing set needs at least two vertices")
     _check_labels(a_tuple)
     labels, g, _, _ = _attached(a_tuple, rest)
-    return EmbeddedGraph(labels, g)
+    return EmbeddedGraph.on(labels, g)
 
 
 def _attached(a: tuple[int, ...], rest: EmbeddedColored) -> tuple[tuple, Graph, int, int]:
@@ -245,7 +262,7 @@ def amb_decompose(g: Graph) -> tuple[int, EmbeddedGraph]:
         raise WrongClass("amb_decompose requires an ambiguous graph")
     (a,) = rep.swings
     sub, _ = _deleted(g, 1 << a)
-    return a, EmbeddedGraph(bits_of(g.vertex_mask() ^ 1 << a), sub)
+    return a, EmbeddedGraph.on(bits_of(g.vertex_mask() ^ 1 << a), sub)
 
 
 def amb_compose(a: int, h) -> EmbeddedGraph:
@@ -262,7 +279,7 @@ def amb_compose(a: int, h) -> EmbeddedGraph:
     if classify_report(rep) is not SplitClass.BALANCED:
         raise WrongClass("amb_compose requires a balanced graph")
     labels, g, _, _ = _inserted(mask_of(h.labels) | 1 << a, 1 << a, h.core.rows, mask_of(rep.y))
-    return EmbeddedGraph(labels, g)
+    return EmbeddedGraph.on(labels, g)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +332,7 @@ def split_to_bicolored(c: ColoredSplitGraph) -> BicoloredGraph:
     rows = list(c.graph.rows)
     for v in c.green:
         rows[v] &= rm
-    return BicoloredGraph(Graph(c.graph.n, tuple(rows)), c.green, c.red)
+    return BicoloredGraph.on_green(Graph(c.graph.n, tuple(rows)), c.green_mask())
 
 
 def bicolored_to_split(b: BicoloredGraph) -> ColoredSplitGraph:
@@ -331,4 +348,4 @@ def bicolored_to_split(b: BicoloredGraph) -> ColoredSplitGraph:
     rows = list(b.graph.rows)
     for v in b.green:
         rows[v] |= gm ^ (1 << v)
-    return ColoredSplitGraph(Graph(b.graph.n, tuple(rows)), b.green, b.red)
+    return ColoredSplitGraph.on_green(Graph(b.graph.n, tuple(rows)), gm)

@@ -545,8 +545,7 @@ def enumerate_labeled(n: int, tag: ClassTag, *, lines: bool = False) -> Iterator
     else:
         carrier = ColoredSplitGraph if tag is ClassTag.COLORED_SPLIT else BicoloredGraph
         for key in keys:
-            green = key & full
-            yield carrier(Graph.from_edge_word(n, key >> n), bits_of(green), bits_of(full ^ green))
+            yield carrier.on_green(Graph.from_edge_word(n, key >> n), key & full)
 
 
 def count_labeled(n: int, tag: ClassTag) -> int:

@@ -17,6 +17,7 @@ import itertools
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
+    BrokenInvariant,
     LengthMismatch,
     MalformedInput,
     MonochromeEdge,
@@ -118,7 +119,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             if i == j:
                 raise SelfLoop(f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
-                raise OutOfRange(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
+                raise OutOfRange(f"edge ({i}, {j}) has an endpoint outside {_vertex_range(n)}")
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     except TypeError as exc:
@@ -137,6 +138,11 @@ def relabel(g: Graph, p: Sequence[int]) -> Graph:
     _check_labels(p)
     if sorted(p) != list(range(g.n)):
         raise MalformedInput(f"not a permutation of 0..{g.n - 1}: {list(p)}")
+    return _relabeled(g, p)
+
+
+def _relabeled(g: Graph, p: Sequence[int]) -> Graph:
+    """The move ``relabel`` makes, unchecked: p must be a permutation of 0..n-1."""
     rows = [0] * g.n
     for v, r in enumerate(g.rows):
         nr = 0
@@ -226,16 +232,19 @@ def _permuted_word(g: Graph, p: Sequence[int]) -> int:
 class TwoColoredGraph(Record):
     """Graph plus an ordered green/red partition of its vertices.
 
-    The carrier shared by colored split graphs and bicolored graphs: the
-    constructor checks that every label is a vertex before it shifts any into
-    a mask, and that green and red are sorted and partition the vertex set,
-    keeps both as masks, and hands them to ``_check_edges``, where each
-    subclass tests its own edge constraint.  The two colors are
-    an *ordered* pair: swapping them generally yields a different structure.
+    The carrier shared by colored split graphs and bicolored graphs.  It has
+    two entries with one body.  The constructor takes the two sides as label
+    tuples from outside: it checks that every label is a vertex before it
+    shifts any into a mask, and that green and red are sorted and partition
+    the vertex set.  ``on_green`` takes the green side as a mask the package
+    computed itself.  Both keep the two masks and hand them to
+    ``_check_edges``, where each subclass tests its own edge constraint, so
+    every carrier passes that test.  The two colors are an *ordered* pair:
+    swapping them generally yields a different structure.
     """
 
     _fields = ("graph", "green", "red")
-    __slots__ = _fields + ("_green", "_red")  # the two masks, kept from the check
+    __slots__ = _fields + ("_green", "_red")  # the two masks
 
     def __init__(self, graph: Graph, green: tuple[int, ...], red: tuple[int, ...]):
         _check_labels(green + red, graph.n)
@@ -243,9 +252,24 @@ class TwoColoredGraph(Record):
         if gm & rm or (gm | rm) != graph.vertex_mask() \
                 or green != bits_of(gm) or red != bits_of(rm):
             raise NotAPartition("green and red must partition the vertex set (sorted, disjoint)")
+        self._fill(graph, gm)
+
+    @classmethod
+    def on_green(cls, graph: Graph, green: int):
+        """The carrier on ``graph`` whose green side is the vertex mask ``green``
+        and whose red side is the rest.  A mask outside the vertex set is a bug
+        in the caller, so it raises BrokenInvariant."""
+        if not 0 <= green <= graph.vertex_mask():
+            raise BrokenInvariant(f"green mask {green:#x} is no vertex set of a graph on {graph.n}")
+        c = object.__new__(cls)
+        c._fill(graph, green)
+        return c
+
+    def _fill(self, graph: Graph, gm: int):
+        rm = graph.vertex_mask() ^ gm
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "green", green)
-        object.__setattr__(self, "red", red)
+        object.__setattr__(self, "green", bits_of(gm))
+        object.__setattr__(self, "red", bits_of(rm))
         object.__setattr__(self, "_green", gm)
         object.__setattr__(self, "_red", rm)
         self._check_edges(gm, rm)
@@ -295,8 +319,7 @@ def make_bicolored(n: int, edges: Iterable[tuple[int, int]], green: Iterable[int
     g = make_graph(n, edges)
     green = tuple(green)  # read once, by the check and by the mask
     _check_labels(green, n)
-    gm = mask_of(green)
-    return BicoloredGraph(g, bits_of(gm), bits_of(g.vertex_mask() ^ gm))
+    return BicoloredGraph.on_green(g, mask_of(green))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +333,12 @@ def _check_labels(labels: Iterable, n: int | None = None) -> None:
         if type(v) is not int:
             raise MalformedInput(f"vertex label must be an integer, got {v!r}")
         if n is not None and not 0 <= v < n:
-            raise OutOfRange(f"vertex label {v} lies outside 0..{n - 1}")
+            raise OutOfRange(f"vertex label {v} lies outside {_vertex_range(n)}")
+
+
+def _vertex_range(n: int) -> str:
+    """The labels of a graph on n vertices, as an error message names them."""
+    return f"0..{n - 1}" if n else "the graph, which has no vertices"
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -8,18 +8,23 @@ of swing vertices (vertices that can change sides between two partitions):
 * k-canonical  -- A is a clique of size >= 2;
 * s-canonical  -- A is a stable set of size >= 2.
 
-Swing vertices are computed definitionally, from the full list of partitions.
-That list comes from one partition and its one-vertex moves: the vertices of
-largest degree form a clique K0 and the rest a stable set S0 whenever the
-graph is split (Hammer and Simeone), and any other partition differs from
-(K0, S0) by at most one vertex leaving K0 and at most one joining it, so
-listing them takes O(n^2) bit tests.  Ground truth is not in the library:
-the subset-scan oracles in ``tests/conftest.py`` check these partitions.
+Swing vertices are read off the list of partitions.  That list comes from
+one partition and its one-vertex moves: the vertices of largest degree form
+a clique K0 and the rest a stable set S0 whenever the graph is split
+(Hammer and Simeone), and any other partition is (K0 - v, S0 + v) or
+(K0 - v + u, S0 - u + v), so listing them takes O(n^2) bit tests.  The
+swing set is the union of the listed clique sides' differences from K0: v
+moves alone between K0 and K0 - v, u alone between K0 - v and K0 - v + u,
+and a vertex that moves alone between two listed sides lies in the
+difference of one of them from K0.  Ground truth is not in the library:
+the subset-scan oracles in ``tests/conftest.py`` check these partitions and
+swing sets.
 
 Inside the module a partition is the bit mask of its clique side (the
 stable side is the complement).  The swing report and the S-max and K-max
-selections work on those masks; ``KSPartition`` and ``ColoredSplitGraph``
-objects are built only for the partitions a public function returns.
+selections work on those masks; ``KSPartition`` objects are built only for
+the partitions a public function returns, and ``all_colorings`` colors the
+graph straight from the S-max masks (``ColoredSplitGraph.on_green``).
 
 Conventions at the small end: the empty graph is balanced (its unique
 partition is empty/empty) and the one-vertex graph is ambiguous (its single
@@ -117,11 +122,11 @@ def ks_partitions(g: Graph) -> list[KSPartition]:
     Empty iff g is not split.  The partitions are those of ``_clique_sides``.
     """
     full = g.vertex_mask()
-    return [_partition(km, full) for km in _clique_sides(g)]
+    return [_partition(km, full) for km in sorted(_clique_sides(g))]
 
 
 def _clique_sides(g: Graph) -> list[int]:
-    """The clique-side masks of all partitions of g, ascending; [] iff g is not split.
+    """The clique-side masks of all partitions of g, K0 first; [] iff g is not split.
 
     The m vertices of largest degree K0 form a clique and the rest S0 a
     stable set whenever g is split (``graphs.hammer_simeone_side``).  A
@@ -130,7 +135,8 @@ def _clique_sides(g: Graph) -> list[int]:
     (v in K0, u in S0).  No u in S0 sees all of K0 (its degree would be
     >= m and push m up), so K0 + u never occurs and the u of K0 - v + u
     misses v: both remaining moves need a v with no neighbour in S0, and
-    K0 - v + u needs a u adjacent to all of K0 - v.
+    K0 - v + u needs a u adjacent to all of K0 - v.  Each K0 - v + u is
+    listed with its K0 - v; the list is not sorted.
     """
     check_size(g.n, high=MAX_VERTICES, what="vertex count")
     k0 = hammer_simeone_side(g)
@@ -145,7 +151,6 @@ def _clique_sides(g: Graph) -> list[int]:
         kv = k0 ^ 1 << v
         kms.append(kv)
         kms.extend(kv | 1 << u for u in bits_of(s0) if rows[u] & kv == kv)
-    kms.sort()
     return kms
 
 
@@ -171,26 +176,22 @@ def independence_number(g: Graph) -> int:
 
 
 def swing_report(g: Graph) -> SwingReport:
-    """Identify the swing vertices of a split graph, definitionally.
+    """Identify the swing vertices of a split graph.
 
     A vertex v swings iff some partition can be turned into another one by
-    moving v alone across the divide: iff two listed clique sides differ in
-    v alone.  Requires is_split(g).
+    moving v alone across the divide.  Every listed clique side is K0, K0 - v
+    or K0 - v + u, and K0 - v is listed whenever K0 - v + u is, so the swing
+    set is the union of each side's difference from K0 (``_clique_sides``
+    lists K0 first).  Y is K0 and Z is S0, each without the swings.
+    Requires is_split(g).
     """
     kms = _clique_sides_checked(g)
-    full = g.vertex_mask()
+    k0 = kms[0]
     swings = 0
-    always_k = full
-    ever_k = 0
-    for i, km in enumerate(kms):
-        always_k &= km
-        ever_k |= km
-        for other in kms[i + 1:]:
-            moved = km ^ other
-            if not moved & (moved - 1):  # one vertex changed sides
-                swings |= moved
-    y = always_k & ~swings
-    z = full & ~ever_k & ~swings
+    for km in kms:
+        swings |= km ^ k0
+    y = k0 & ~swings
+    z = g.vertex_mask() & ~(k0 | swings)
     count = swings.bit_count()
     if count == 0:
         kind = KIND_EMPTY
@@ -236,7 +237,7 @@ def _sized_sides(g: Graph, pick) -> list[int]:
     min gives the S-max partitions, max the K-max ones."""
     kms = _clique_sides_checked(g)
     size = pick(km.bit_count() for km in kms)
-    return [km for km in kms if km.bit_count() == size]
+    return sorted(km for km in kms if km.bit_count() == size)
 
 
 def canonical_partition(g: Graph) -> KSPartition | None:
@@ -271,22 +272,32 @@ def _clique_sides_checked(g: Graph) -> list[int]:
 class ColoredSplitGraph(TwoColoredGraph):
     """A split graph with a chosen S-max partition: clique green, stable red.
 
-    The constructor validates both that (green, red) is a clique/stable-set
-    partition and that red attains the independence number, so an instance is
-    a valid colored structure by construction.
+    Both entries, the constructor and ``on_green``, validate that (green,
+    red) is a clique/stable-set partition and that red attains the
+    independence number, so an instance is a valid colored structure by
+    construction.
     """
 
     __slots__ = ()
 
     def _check_edges(self, gm: int, rm: int):
-        g = self.graph
-        if not is_clique(g, gm) or not is_stable(g, rm):
-            raise NotAPartition("green must induce a clique and red a stable set")
-        # alpha(g) = |red| + [some green vertex has no red neighbour]
-        if any(not g.rows[v] & rm for v in self.green):
+        """One pass over the green rows (a clique, each with a red neighbour),
+        then one over the red rows (a stable set).  A failed partition test
+        raises NotAPartition before a failed S-max test raises NotSMax."""
+        rows = self.graph.rows
+        lonely = False  # alpha(g) = |red| + [some green vertex has no red neighbour]
+        for v in self.green:
+            r = rows[v]
+            if r & gm != gm ^ 1 << v:
+                raise NotAPartition("green must induce a clique and red a stable set")
+            lonely = lonely or not r & rm
+        for v in self.red:
+            if rows[v] & rm:
+                raise NotAPartition("green must induce a clique and red a stable set")
+        if lonely:
             raise NotSMax("the red side does not have maximum size")
 
 
 def all_colorings(g: Graph) -> list[ColoredSplitGraph]:
     """Every colored split graph over g: one per S-max partition."""
-    return [ColoredSplitGraph(g, p.k, p.s) for p in s_max_partitions(g)]
+    return [ColoredSplitGraph.on_green(g, km) for km in _sized_sides(g, min)]

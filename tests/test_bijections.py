@@ -32,8 +32,10 @@ from splitspecies.bijections import (
 )
 from splitspecies.enumeration import ClassTag, enumerate_labeled
 from splitspecies.errors import (
+    BrokenInvariant,
     IsolatedGreen,
     LabelClash,
+    LengthMismatch,
     MalformedInput,
     OutOfRange,
     TooSmall,
@@ -459,6 +461,22 @@ def test_relabeled_refuses_a_map_that_is_not_injective(carrier, p):
 def test_relabeled_refuses_an_image_outside_the_label_universe(carrier, p):
     with pytest.raises(OutOfRange):
         _embedded_p3(carrier).relabeled(p)
+
+
+@pytest.mark.parametrize("carrier, labels, core", [
+    (EmbeddedGraph, (0, 1, 2), make_graph(2, [(0, 1)])),
+    (EmbeddedGraph, (5,), make_graph(2, [])),
+    (EmbeddedColored, (3,), ColoredSplitGraph(make_graph(2, [(0, 1)]), (0,), (1,))),
+    (EmbeddedColored, (), ColoredSplitGraph(empty_graph(1), (), (0,))),
+], ids=["graph-long", "graph-short", "colored-short", "colored-none"])
+def test_the_internal_entry_refuses_labels_that_do_not_fit_the_core(carrier, labels, core):
+    """Labels read off a mask that do not number the core's vertices are a
+    bug: BrokenInvariant, an InternalError, where the constructor raises
+    LengthMismatch, a bad-input error."""
+    with pytest.raises(BrokenInvariant):
+        carrier.on(labels, core)
+    with pytest.raises(LengthMismatch):
+        carrier(labels, core)
 
 
 # ---------------------------------------------------------------------------

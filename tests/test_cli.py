@@ -327,6 +327,44 @@ def test_a_graph_file_error_names_the_file(capsys, tmp_path):
     assert err == f"error: {path}: edge (0, 5) has an endpoint outside 0..1\n"
 
 
+def test_a_label_of_a_graph_without_vertices_is_named_as_such(capsys, tmp_path):
+    """On a graph with no vertices there is no range 0..n-1 to name."""
+    path = write_graph(tmp_path, "g.json", '{"n": 0, "edges": [[0, 1]]}')
+    code, out, err = run_cli(capsys, "classify", "--graph", path)
+    assert (code, out) == (3, "")
+    assert err == (f"error: {path}: edge (0, 1) has an endpoint outside the graph, "
+                   "which has no vertices\n")
+
+
+@pytest.mark.parametrize("map_name, file, message", [
+    ("uk-decompose", "k4.g", "green mask 0x1 is no vertex set of a graph on 0"),
+    ("amb-decompose", "amb5.g", "4 labels for 3 vertices")])
+def test_a_misfit_on_an_internal_entry_exits_4(capsys, tmp_path, monkeypatch, map_name, file,
+                                               message):
+    """The carriers built inside a decomposition go through the internal
+    entries, which check only that the labels or green mask fit the core: a
+    misfit there is a bug, not bad input, so it exits 4 and not 3.  Here a
+    deletion keeps one vertex too few (uk) or gives a green mask one vertex
+    past the core (amb's remainder is uncolored, so its labels misfit)."""
+    from splitspecies import bijections
+
+    deleted = bijections._deleted
+
+    def broken(g, gone, side=0):
+        sub, side = deleted(g, gone, side)
+        if map_name == "amb-decompose":
+            return deleted(sub, 1)[0], side
+        return sub, side | 1 << sub.n
+
+    monkeypatch.setattr(bijections, "_deleted", broken)
+    text = {"k4.g": "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+            "amb5.g": "5\n0 1\n0 2\n1 2\n1 3\n0 4\n"}[file]
+    path = write_graph(tmp_path, file, text)
+    code, out, err = run_cli(capsys, "biject", "--map", map_name, "--graph", path)
+    assert (code, out) == (4, "")
+    assert err == f"error: internal invariant failed: {message}\n"
+
+
 def test_verify_identities_passes_and_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
     code2, out2, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")

@@ -168,6 +168,12 @@ BOUNDARY = {
         {"n": 2, "edges": [], "green": [-1], "red": [0, 1]}), OutOfRange),
     "bicolored-json-huge-label": (lambda: BicoloredGraph.from_json(
         {"n": 2, "edges": [], "green": [HUGE_LABEL], "red": [0, 1]}), OutOfRange),
+    # labels on a graph with no vertices
+    "make-graph-no-vertices": (lambda: graphs.make_graph(0, [(0, 1)]), OutOfRange),
+    "bicolored-no-vertices": (lambda: BicoloredGraph(_graph(0), (), (0,)), OutOfRange),
+    "make-bicolored-no-vertices": (lambda: graphs.make_bicolored(0, [], [0]), OutOfRange),
+    "colored-json-no-vertices": (lambda: structure.ColoredSplitGraph.from_json(
+        {"n": 0, "edges": [], "green": [0], "red": []}), OutOfRange),
     # JSON objects without a key the carrier needs, and JSON that is no object
     "graph-json-without-n": (lambda: graphs.graph_from_json({"edges": []}), MalformedInput),
     "graph-json-without-edges": (lambda: graphs.graph_from_json({"n": 2}), MalformedInput),
@@ -188,6 +194,19 @@ def test_library_boundary_raises_package_errors(case):
     assert issubclass(expected, SplitSpeciesError) and not issubclass(expected, InternalError)
     with pytest.raises(expected):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: graphs.make_graph(0, [(0, 1)]),
+     "edge (0, 1) has an endpoint outside the graph, which has no vertices"),
+    (lambda: BicoloredGraph(_graph(0), (), (0,)),
+     "vertex label 0 lies outside the graph, which has no vertices"),
+    (lambda: graphs.make_graph(1, [(0, 1)]), "edge (0, 1) has an endpoint outside 0..0"),
+], ids=["edge", "label", "one-vertex"])
+def test_a_label_of_a_graph_without_vertices_names_no_range(call, message):
+    with pytest.raises(OutOfRange) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_check_size():

@@ -167,3 +167,42 @@ def test_every_annotation_resolves():
             except NameError as exc:
                 found.append(f"{module.__name__}.{fn.__qualname__}: {exc}")
     assert found == []
+
+
+# the carriers whose constructors check labels that come from outside, and
+# the public entries that may call those constructors inside the package
+CARRIERS = {"TwoColoredGraph", "BicoloredGraph", "ColoredSplitGraph",
+            "_Embedded", "EmbeddedGraph", "EmbeddedColored"}
+CONSTRUCTOR_CALLERS = {"graphs.TwoColoredGraph.from_json", "bijections._Embedded.whole"}
+
+
+def _constructor_callers(node, scope: list[str], in_carrier: bool = False) -> set[str]:
+    """The functions under ``node`` that call a carrier's constructor, by its
+    class name or as ``cls(...)`` inside a carrier class."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            found |= _constructor_callers(child, scope + [child.name], child.name in CARRIERS)
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found |= _constructor_callers(child, scope + [getattr(child, "name", "<lambda>")],
+                                          in_carrier)
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
+                child.func.id in CARRIERS or in_carrier and child.func.id == "cls"):
+            found.add(".".join(scope))
+        found |= _constructor_callers(child, scope, in_carrier)
+    return found
+
+
+def test_carriers_are_built_inside_the_package_on_the_internal_entries():
+    """The tuple constructors of the two-colored and embedded carriers check
+    labels from outside; inside the package only the public entries that take
+    such labels call them.  Every other carrier is built on labels or a green
+    mask the package read off a mask, through ``on_green`` or ``_Embedded.on``,
+    which skip the label checks and keep the edge tests."""
+    callers = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        callers |= _constructor_callers(ast.parse(path.read_text(), filename=str(path)),
+                                        [path.stem])
+    assert callers == CONSTRUCTOR_CALLERS

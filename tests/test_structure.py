@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from splitspecies.errors import NotAPartition, NotSMax, NotSplit, TooLarge
-from splitspecies.graphs import Graph, complement, make_graph, relabel
+from splitspecies.errors import (BrokenInvariant, NotAPartition, NotSMax, NotSplit,
+                                 SplitSpeciesError, TooLarge)
+from splitspecies.graphs import BicoloredGraph, Graph, bits_of, complement, make_graph, relabel
 from splitspecies.structure import (
     ColoredSplitGraph,
     SplitClass,
@@ -380,6 +381,36 @@ def test_colored_split_graph_validation():
         ColoredSplitGraph(p4, (0, 1), (2, 3))  # not a clique side
     c = ColoredSplitGraph(p4, (1, 2), (0, 3))
     assert ColoredSplitGraph.from_json(c.to_json()) == c
+
+
+@pytest.mark.parametrize("carrier", [ColoredSplitGraph, BicoloredGraph])
+@pytest.mark.parametrize("n", range(0, 5))
+def test_the_mask_entry_agrees_with_the_constructor(carrier, n):
+    """For every graph on n <= 4 and every green mask, ``on_green`` and the
+    tuple constructor build equal carriers, or raise the same error type."""
+    full = (1 << n) - 1
+    for word in range(1 << n * (n - 1) // 2):
+        g = Graph.from_edge_word(n, word)
+        for green in range(full + 1):
+            outcomes = []
+            for build in (lambda: carrier.on_green(g, green),
+                          lambda: carrier(g, bits_of(green), bits_of(full ^ green))):
+                try:
+                    outcomes.append(build())
+                except SplitSpeciesError as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1], (word, green)
+            if not isinstance(outcomes[0], type):
+                assert outcomes[0].green_mask() == green and outcomes[0].red_mask() == full ^ green
+
+
+@pytest.mark.parametrize("carrier", [ColoredSplitGraph, BicoloredGraph])
+@pytest.mark.parametrize("green", [-1, 0b100, 0b1000], ids=["negative", "next-vertex", "past"])
+def test_the_mask_entry_refuses_a_mask_outside_the_vertices(carrier, green):
+    """A green mask the package computed itself that leaves the vertex set is a
+    bug: BrokenInvariant, an InternalError, so the command line exits 4."""
+    with pytest.raises(BrokenInvariant):
+        carrier.on_green(make_graph(2, [(0, 1)]), green)
 
 
 def test_clique_and_independence_numbers():
