@@ -344,8 +344,9 @@ def test_a_misfit_on_an_internal_entry_exits_4(capsys, tmp_path, monkeypatch, ma
     """The carriers built inside a decomposition go through the internal
     entries, which check only that the labels or green mask fit the core: a
     misfit there is a bug, not bad input, so it exits 4 and not 3.  Here a
-    deletion keeps one vertex too few (uk) or gives a green mask one vertex
-    past the core (amb's remainder is uncolored, so its labels misfit)."""
+    broken deletion gives the uk remainder a green mask one vertex past its
+    core, and drops one vertex too many from the amb remainder, so that its
+    labels outnumber its vertices."""
     from splitspecies import bijections
 
     deleted = bijections._deleted

@@ -203,7 +203,8 @@ def test_library_boundary_raises_package_errors(case):
      "vertex label 0 lies outside the graph, which has no vertices"),
     (lambda: graphs.make_graph(1, [(0, 1)]), "edge (0, 1) has an endpoint outside 0..0"),
 ], ids=["edge", "label", "one-vertex"])
-def test_a_label_of_a_graph_without_vertices_names_no_range(call, message):
+def test_a_label_out_of_range_names_the_vertices(call, message):
+    """A graph with no vertices has no range 0..n-1 to name."""
     with pytest.raises(OutOfRange) as info:
         call()
     assert str(info.value) == message
