@@ -14,9 +14,12 @@ Two independent formulas count labeled split graphs:
   C(n,k)/(n-k+1) = C(n+1,k)/(n+1) put every fractional term over the one
   denominator n + 1, and (n+1) C(n,k-1) = k C(n+1,k) puts the whole term
   of k - 1, C(n,k-1) (2^{k-1} - 1)^{n-k+1}, over it with the same factor as
-  the j-sum of k.  Both have the base 2^{k-1} - 1, so one Horner pass per k
-  evaluates the pair, with no separate power, and the numerator of the
-  total must divide by n + 1 exactly.
+  the j-sum of k.  Both have the base x = 2^{k-1} - 1, so one Horner pass
+  per k evaluates the pair, with no separate power, and the numerator of the
+  total must divide by n + 1 exactly.  The pass takes two coefficients a
+  step: x^2 = 2^{2(k-1)} - 2^k + 1, so acc x^2 is two shifts of acc, a
+  subtraction and an addition, and the two coefficients fold into one small
+  term; when n - k is odd, the last coefficient takes a single step.
 """
 
 from __future__ import annotations
@@ -65,6 +68,13 @@ def split_labeled_bp(n: int) -> int:
     k = 2 starts at 0 (the whole terms start at k = 2); the whole term of
     k = n, (2^n - 1)^0, is the constant 1 added with the leading 1.
 
+    Each step consumes two coefficients: with s = k - 1,
+    x^2 = 2^{2s} - 2^{s+1} + 1, so (acc x - t_j) x - t_{j+1} is
+    (acc << 2s) - (acc << s+1) + acc - (t_j x + t_{j+1}): five big integers
+    the size of acc, where two single steps make six, since the folded term
+    t_j x + t_{j+1} has only about s + m bits.  When m is odd, the last
+    coefficient, t_m = m C(m+1, m+1) = m, takes one single step, acc x - m.
+
     MAX_FORMULA_N caps n, as it caps the closed form this sum is checked
     against.  Raises NonIntegralResult if the total fails to come out an
     integer (which would mean an implementation error, not an input error).
@@ -74,12 +84,19 @@ def split_labeled_bp(n: int) -> int:
     for k in range(2, n + 1):
         m = n - k
         s = k - 1
-        # Horner's rule from 1*x + 0 (0 at k = 2) to x^{m+1} - sum_j t_j x^{m-j}
-        acc = (1 << s) - 1 if k > 2 else 0
-        c = m + 1  # C(m+1, j) before the update below, C(m+1, j+1) after it
-        for j in range(1, m + 1):
+        x = (1 << s) - 1
+        s1, s2 = s + 1, 2 * s  # x^2 = 2^{2s} - 2^{s+1} + 1
+        # Horner's rule from 1*x + 0 (0 at k = 2) to x^{m+1} - sum_j t_j x^{m-j},
+        # two coefficients a step: (acc*x - t_j)*x - t_{j+1} = acc*x^2 - (t_j*x + t_{j+1})
+        acc = x if k > 2 else 0
+        c = m + 1  # C(m+1, j) at the top of a step, C(m+1, j+2) at its end
+        for j in range(1, m, 2):
             c = c * (m + 1 - j) // (j + 1)
-            acc = (acc << s) - acc - j * c  # acc * x - t_j
+            t = j * c  # t_j
+            c = c * (m - j) // (j + 2)
+            acc = (acc << s2) - (acc << s1) + acc - (t * x + (j + 1) * c)
+        if m % 2:
+            acc = (acc << s) - acc - m  # acc * x - t_m, t_m = m C(m+1, m+1) = m
         total += k * comb(n + 1, k) * acc
     quotient, remainder = divmod(total, n + 1)
     if remainder:

@@ -80,7 +80,9 @@ def test_split_labeled_bp_is_the_double_sum_as_printed():
 
 
 def test_formulas_agree_at_the_cap():
-    """The largest n the formulas suite takes; no other test goes past 318."""
+    """The largest n the formulas suite takes, MAX_FORMULA_N; this is the one
+    test that evaluates the double sum there (criterion 1 and the CLI sweep
+    stop at 318)."""
     assert split_labeled_bp(MAX_FORMULA_N) == split_labeled(MAX_FORMULA_N)
 
 

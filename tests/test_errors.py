@@ -236,7 +236,6 @@ def test_sizes_at_the_bounds_still_work():
     assert len(series.derive_labeled_chain(0)["S"]) == 1
     assert graphs.make_graph(MAX_VERTICES, []).n == MAX_VERTICES
     assert counting.split_labeled(MAX_FORMULA_N) > 0
-    assert counting.split_labeled_bp(MAX_FORMULA_N) == counting.split_labeled(MAX_FORMULA_N)
     assert checks.counts(ClassTag.ALL_GRAPHS, False, [MAX_FORMULA_N])[MAX_FORMULA_N] > 0
     assert (asymptotics.check_b_ratio_unlabeled(_base(MAX_CHAIN_ORDER + 1))
             == list(range(7, MAX_CHAIN_ORDER + 1)))

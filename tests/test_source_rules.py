@@ -206,3 +206,24 @@ def test_carriers_are_built_inside_the_package_on_the_internal_entries():
         callers |= _constructor_callers(ast.parse(path.read_text(), filename=str(path)),
                                         [path.stem])
     assert callers == CONSTRUCTOR_CALLERS
+
+
+# the counters the double sum is checked against, which its body must not reach
+CLOSED_FORM_ROUTES = {"split_labeled", "bicolored_labeled", "chain_count", "derive_labeled_chain"}
+
+
+def test_the_double_sum_names_no_other_route():
+    """``split_labeled_bp`` is one side of the formula check, so its body
+    reaches neither the subtraction formula nor the series chain, by name or
+    as an attribute: a kernel that summed its terms, passed the integrality
+    check and then returned the closed form would agree at every n."""
+    tree = ast.parse((PACKAGE_DIR / "counting.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "split_labeled_bp")
+    found = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    assert found & CLOSED_FORM_ROUTES == set()
