@@ -18,12 +18,12 @@ import argparse
 import itertools
 import os
 import sys
+import time
 
 from . import checks
 from .asymptotics import ratio_report
 from .bijections import (amb_decompose, bicolored_to_split, cuk_decompose, split_to_bicolored,
                          uk_decompose)
-from .counting import MAX_FORMULA_N
 from .enumeration import CENSUS_MAX_N, ClassTag, enumerate_labeled
 from .errors import InternalError, MalformedInput, SplitSpeciesError, check_size
 from .graphs import BicoloredGraph, TwoColoredGraph, load_file, load_graph
@@ -47,13 +47,11 @@ def _emit_json(data) -> None:
 
 def _cmd_count(args) -> int:
     tag = ClassTag(args.klass)
-    # checked here to name the flag, as an empty range would print nothing,
-    # and at the largest cap of any route before the range is built
-    if args.n is None:
-        ns = range(check_size(args.max_n, high=MAX_FORMULA_N, what="--max-n") + 1)
+    if args.n is None:  # checked here, as an empty range would print nothing
+        flag, ns = "--max-n", range(check_size(args.max_n, what="--max-n") + 1)
     else:
-        ns = [check_size(args.n, what="--n")]
-    values = checks.counts(tag, args.unlabeled, ns)
+        flag, ns = "--n", [args.n]
+    values = checks.counts(tag, args.unlabeled, ns, what=flag)  # checks the route's cap
     kind = "unlabeled" if args.unlabeled else "labeled"
     if args.format == "json":
         _emit_json({"class": tag.value, "kind": kind,
@@ -125,6 +123,10 @@ def _print_discrepancies(discrepancies: list[dict]) -> None:
 
 
 def _cmd_verify(args) -> int:
+    extra = [flag for flag, value in (("--seed", args.seed), ("--cases", args.cases))
+             if value is not None]
+    if extra and args.suite != "random":
+        args.usage_error(f"not allowed with --suite {args.suite}: {' '.join(extra)}")
     if args.suite == "identities":
         max_n = 6 if args.max_n is None else check_size(args.max_n, high=CENSUS_MAX_N,
                                                         what="--max-n")
@@ -141,28 +143,29 @@ def _cmd_verify(args) -> int:
 
     if args.suite == "formulas":
         max_n = 318 if args.max_n is None else args.max_n
-        report = checks.cross_check(check_size(max_n, high=MAX_FORMULA_N, what="--max-n"))
-        print(f"formulas: {report.elapsed_ms} ms", file=sys.stderr)  # keeps stdout stable
+        start = time.monotonic()
+        bad = checks.cross_check(max_n, what="--max-n")
+        elapsed_ms = int((time.monotonic() - start) * 1000)
+        print(f"formulas: {elapsed_ms} ms", file=sys.stderr)  # keeps stdout stable
         if args.format == "json":
-            _emit_json(report.to_json())
+            _emit_json({"checked_to": max_n, "discrepancies": bad})
         else:
-            print(f"formulas: checked to n={report.checked_to}, "
-                  f"{len(report.discrepancies)} discrepancies")
-            _print_discrepancies(report.discrepancies)
-        return 0 if report.ok else 1
+            print(f"formulas: checked to n={max_n}, {len(bad)} discrepancies")
+            _print_discrepancies(bad)
+        return 0 if not bad else 1
 
     # random
     max_n = 8 if args.max_n is None else check_size(args.max_n, what="--max-n")
-    failures, skipped = checks.random_checks(max_n, args.seed,
-                                             check_size(args.cases, what="--cases"))
-    report = {"suite": "random", "seed": args.seed, "cases": args.cases,
-              "failures": failures}
+    seed = 0 if args.seed is None else args.seed
+    cases = 1000 if args.cases is None else check_size(args.cases, what="--cases")
+    failures, skipped = checks.random_checks(max_n, seed, cases)
+    report = {"suite": "random", "seed": seed, "cases": cases, "failures": failures}
     if skipped:
         report["skipped"] = skipped
     if args.format == "json":
         _emit_json(report)
     else:
-        print(f"random: seed={args.seed} cases={args.cases} failures={len(failures)}")
+        print(f"random: seed={seed} cases={cases} failures={len(failures)}")
         for skip in skipped:
             print(f"skipped {skip['class']} round trips: no such graphs at n={skip['n']}")
     return 0 if not failures else 1
@@ -234,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=["identities", "formulas", "random"])
     p.add_argument("--max-n", type=int, default=None,
                    help="largest size (default: identities 6, formulas 318, random 8)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=1000)
+    p.add_argument("--seed", type=int, help="random suite only (default: 0)")
+    p.add_argument("--cases", type=int, help="random suite only (default: 1000)")
     p.add_argument("--format", choices=["text", "json"], default="json")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, usage_error=p.error)
 
     p = sub.add_parser("asym", help="emit the asymptotic ratio report")
     p.add_argument("--max-n", type=int, default=200)

@@ -89,9 +89,14 @@ SPLIT_MAX_N = 8  # split graphs alone, and labeled graphs of any kind
 _WORD = "I"
 
 
-def _check_limit(n: int, tag: ClassTag, unlabeled: bool = False):
+def size_cap(tag: ClassTag, unlabeled: bool = False) -> int:
+    """The largest n the oracle counts (or enumerates) of class ``tag``, labeled or unlabeled."""
     wide = tag is ClassTag.SPLIT if unlabeled else tag in _GRAPH_TAGS
-    check_size(n, high=SPLIT_MAX_N if wide else CENSUS_MAX_N, what=f"{tag.value} size")
+    return SPLIT_MAX_N if wide else CENSUS_MAX_N
+
+
+def _check_limit(n: int, tag: ClassTag, unlabeled: bool = False):
+    check_size(n, high=size_cap(tag, unlabeled), what=f"{tag.value} size")
 
 
 def _edge_count(n: int) -> int:

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -507,6 +508,55 @@ def test_verify_identities_refuses_past_the_census_before_any_work(capsys, monke
     assert (code, out, err) == (3, "", "error: --max-n is capped at 7, got 8\n")
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["--class", "split", "--unlabeled", "--max-n", "9"], 8),
+    (["--class", "all-graphs", "--unlabeled", "--max-n", "8"], 7),
+    (["--class", "balanced", "--labeled", "--max-n", "401"], 400),
+], ids=["split-unlabeled", "all-graphs-unlabeled", "balanced-labeled"])
+def test_count_refuses_past_its_route_cap_before_any_count(capsys, monkeypatch, argv, cap):
+    """``count`` checks the largest size against the cap of the route that
+    serves the class, the oracle's for that class or the chain's, and names
+    the flag, before it makes any count."""
+    from splitspecies import counting, enumeration
+
+    def refuse(*args):
+        raise AssertionError("a count was made before --max-n was checked")
+
+    monkeypatch.setattr(enumeration, "count_unlabeled", refuse)
+    monkeypatch.setattr(counting, "derive_labeled_chain", refuse)
+    code, out, err = run_cli(capsys, "count", *argv)
+    assert (code, out, err) == (3, "", f"error: --max-n is capped at {cap}, got {argv[-1]}\n")
+
+
+def test_verify_seed_and_cases_belong_to_the_random_suite(capsys, monkeypatch):
+    """``--seed`` and ``--cases`` mean something only to the random suite:
+    given to another, either is a usage error that names it, before any check
+    runs.  The random suite resolves their defaults, 0 and 1000."""
+
+    def refuse(*args):
+        raise AssertionError("a check ran before the flags were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "run", refuse)
+        patch.setattr(checks, "cross_check", refuse)
+        for suite, flags in itertools.product(
+                ["identities", "formulas"], [["--seed", "2"], ["--cases", "-5"],
+                                             ["--seed", "2", "--cases", "4"]]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", suite, "--max-n", "3", *flags])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert err.startswith("usage: ") and err.splitlines()[-1] == (
+                f"splitspecies verify: error: not allowed with --suite {suite}: "
+                + " ".join(flags[::2]))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "random", "--max-n", "3")
+    data = json.loads(out)
+    assert code == 0 and (data["seed"], data["cases"]) == (0, 1000)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "random", "--max-n", "3",
+                           "--format", "text")
+    assert code == 0 and out.splitlines()[0] == "random: seed=0 cases=1000 failures=0"
+
+
 @pytest.mark.parametrize("max_n", [2, 3])
 def test_verify_random_small_max_n(capsys, monkeypatch, max_n):
     """No ambiguous graph exists at n = 2, 3: those round trips are skipped
@@ -666,6 +716,13 @@ BAD_INVOCATIONS = {
         ["count", "--class", "bicolored", "--labeled", "--n", "501"], None, 3),
     "count-past-cap-max-n": (
         ["count", "--class", "all-graphs", "--labeled", "--max-n", "501"], None, 3),
+    # one past the cap of each route that serves count: closed form, chain, oracle
+    "count-split-past-formula-cap-n": (
+        ["count", "--class", "split", "--labeled", "--n", "501"], None, 3),
+    "count-balanced-past-chain-cap-n": (
+        ["count", "--class", "balanced", "--labeled", "--n", "401"], None, 3),
+    "count-balanced-past-oracle-cap-n": (
+        ["count", "--class", "balanced", "--unlabeled", "--n", "8"], None, 3),
     "enumerate-negative-n": (["enumerate", "--class", "split", "--n", "-1"], None, 3),
     "enumerate-format-option": (
         ["enumerate", "--class", "split", "--n", "3", "--format", "jsonl"], None, 2),
@@ -709,6 +766,8 @@ def test_bad_invocations_exit_with_documented_codes(capsys, tmp_path, case):
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         if case.endswith("-max-n"):  # a bad size names the flag that gave it
             assert err.startswith("error: --max-n ")
+        elif case.endswith("-cap-n"):
+            assert err.startswith("error: --n ")
     else:
         assert "usage:" in err and ("is required" in err or "unrecognized arguments" in err)
 

@@ -114,17 +114,11 @@ def test_chain_count_keys():
 
 
 def test_cross_check_small_oracle():
-    report = cross_check(6)
-    assert report.ok
-    assert report.checked_to == 6
-    assert report.elapsed_ms >= 0
-    data = report.to_json()
-    assert data["discrepancies"] == []
+    assert cross_check(6) == []
 
 
 def test_cross_check_trivial():
-    report = cross_check(0)
-    assert report.ok
+    assert cross_check(0) == []
 
 
 def test_decimal_handles_huge_counts():

@@ -74,6 +74,25 @@ def test_no_module_level_json_import_in_package():
     assert found == []
 
 
+def test_only_the_command_line_imports_time():
+    """Stage times are taken in ``cli``, around the library calls, so no other
+    module of the package imports ``time``, at module level or inside a function."""
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "time" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _package_imports(path: pathlib.Path) -> set[str]:
     """The package modules one module imports, at module level or inside functions."""
     found = set()
