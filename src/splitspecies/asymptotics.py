@@ -20,11 +20,12 @@ ratios, and of integer brackets for its two irrational columns: no floats.
 from __future__ import annotations
 
 from math import comb, factorial, isqrt
+from typing import Callable
 
 from .counting import MAX_FORMULA_N, bicolored_labeled, split_labeled
 from .errors import BrokenInvariant, OutOfRange, check_size
 from .record import Record
-from .series import derive_labeled_chain, derive_unlabeled_chain
+from .series import MAX_CHAIN_ORDER, derive_labeled_chain, derive_unlabeled_chain
 
 DEFAULT_BITS = 256
 MIN_BITS = 64  # least precision; the irrational report columns start at it
@@ -231,18 +232,24 @@ class RatioReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def ratio_report(n_max: int, unlabeled_base: list[int] | None = None) -> RatioReport:
+def ratio_report(n_max: int, unlabeled_base: list[int] | Callable[[], list[int]] | None = None,
+                 what: str = "n_max") -> RatioReport:
     """Exact counts with their asymptotic and mutual ratios, for n = 1..n_max.
 
     The two irrational columns start at MIN_BITS of precision, and each
     doubles as needed to settle its 17 printed digits.  If ``unlabeled_base``
-    (unlabeled split counts s~_0..s~_m) is supplied, unlabeled analogue rows
-    follow, including the observational b~_n * n!/b_n column.  The chain's
-    cap ``MAX_CHAIN_ORDER`` caps n_max and m.
+    (unlabeled split counts s~_0..s~_m, or a function that returns them) is
+    supplied, unlabeled analogue rows follow, including the observational
+    b~_n * n!/b_n column.  The chain's cap ``MAX_CHAIN_ORDER`` caps n_max
+    and m.  n_max is checked first, under the name ``what``, so a base given
+    as a function (a file read, say) is called only for a good n_max.
     """
+    check_size(n_max, high=MAX_CHAIN_ORDER, what=what)
+    if callable(unlabeled_base):
+        unlabeled_base = unlabeled_base()
     # the unlabeled chain checks its base, so a bad base fails before the labeled chain is built
     tilde = None if unlabeled_base is None else derive_unlabeled_chain(unlabeled_base)
-    chain = derive_labeled_chain(check_size(n_max, what="n_max"))
+    chain = derive_labeled_chain(n_max)
     b, u, s = chain["BC"], chain["U"], chain["S"]
     rows = [RatioRow(n=n, b_ratio=_b_ratio(n, b[n]), s_over_b=_decimal(s[n], b[n]),
                      u_over_s=_decimal(u[n], s[n]), bound=_bound(n),

@@ -113,6 +113,13 @@ def run(rows, max_n: int):
                 yield name, n, expected(n), got(n)
 
 
+def identity_checks(max_n: int, what: str = "max_n") -> list:
+    """The results of every row of ``IDENTITIES`` at each n up to max_n, which
+    is first checked against the census cap ``CENSUS_MAX_N``; ``what`` names
+    max_n in a size error."""
+    return list(run(IDENTITIES, check_size(max_n, high=CENSUS_MAX_N, what=what)))
+
+
 def discrepancies(results) -> list[dict]:
     """The results whose two sides differ, with counts as decimal strings."""
     return [{"check": name, "n": n, "expected": series.decimal(expected),
@@ -132,12 +139,19 @@ def cross_check(max_n: int, what: str = "max_n") -> list[dict]:
     return found + discrepancies(run(TABLE, min(max_n, CENSUS_MAX_N)))
 
 
-def random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[dict]]:
-    """Seeded random property checks: split test vs subset oracle, round trips.
+RANDOM_MAX_N = 8  # the largest graph random_checks draws; its subset oracle scans 2^n sets
 
+
+def random_checks(max_n: int, seed: int, cases: int,
+                  what: str = "max_n") -> tuple[list[dict], list[dict]]:
+    """Seeded random property checks: split test vs subset oracle on graphs
+    of 0..max_n vertices, and round trips at min(max_n, CENSUS_MAX_N).
+
+    max_n is first checked against ``RANDOM_MAX_N``, under the name ``what``.
     Returns the failures and the round trips skipped because their class has
-    no graphs at size min(max_n, 7).
+    no graphs at the round trips' size.
     """
+    check_size(max_n, high=RANDOM_MAX_N, what=what)
     rng = random.Random(seed)
     failures = []
 
@@ -147,7 +161,7 @@ def random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[d
                    for km in range(full + 1))
 
     for case in range(cases):
-        n = rng.randint(0, min(max_n, 8))
+        n = rng.randint(0, max_n)
         edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
         g = graphs.make_graph(n, edges)
         if graphs.is_split(g) != subset_oracle(g):
@@ -157,7 +171,7 @@ def random_checks(max_n: int, seed: int, cases: int) -> tuple[list[dict], list[d
             failures.append({"check": "split-complement-closure", "case": case,
                              "graph": g.to_json()})
 
-    n = min(max_n, 7)
+    n = min(max_n, CENSUS_MAX_N)
     kcanonical = list(enumeration._labeled_keys(n, T.K_CANONICAL))
     ambiguous = list(enumeration._labeled_keys(n, T.AMBIGUOUS))
     skipped = []

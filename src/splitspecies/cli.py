@@ -24,13 +24,14 @@ from . import checks
 from .asymptotics import ratio_report
 from .bijections import (amb_decompose, bicolored_to_split, cuk_decompose, split_to_bicolored,
                          uk_decompose)
-from .enumeration import CENSUS_MAX_N, ClassTag, enumerate_labeled
-from .errors import InternalError, MalformedInput, SplitSpeciesError, check_size
-from .graphs import BicoloredGraph, TwoColoredGraph, load_file, load_graph
-from .series import MAX_CHAIN_ORDER, decimal
+from .enumeration import ClassTag, enumerate_labeled
+from .errors import InternalError, SplitSpeciesError, check_size
+from .graphs import BicoloredGraph, TwoColoredGraph, _json_values, load_file, load_graph
+from .series import decimal
 from .structure import ColoredSplitGraph, classify_report, swing_report
 
 _ENUMERATE_BLOCK = 4096  # lines per write of ``enumerate``
+_VERIFY_MAX_N = {"identities": 6, "formulas": 318, "random": 8}  # default --max-n per suite
 
 
 def _emit_json(data) -> None:
@@ -67,7 +68,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    lines = enumerate_labeled(args.n, ClassTag(args.klass), lines=True)
+    lines = enumerate_labeled(args.n, ClassTag(args.klass), lines=True, what="--n")
     while block := list(itertools.islice(lines, _ENUMERATE_BLOCK)):
         sys.stdout.write("\n".join(block) + "\n")
     return 0
@@ -127,10 +128,9 @@ def _cmd_verify(args) -> int:
              if value is not None]
     if extra and args.suite != "random":
         args.usage_error(f"not allowed with --suite {args.suite}: {' '.join(extra)}")
+    max_n = _VERIFY_MAX_N[args.suite] if args.max_n is None else args.max_n
     if args.suite == "identities":
-        max_n = 6 if args.max_n is None else check_size(args.max_n, high=CENSUS_MAX_N,
-                                                        what="--max-n")
-        results = list(checks.run(checks.IDENTITIES, max_n))
+        results = checks.identity_checks(max_n, what="--max-n")
         bad = checks.discrepancies(results)
         report = {"suite": "identities", "max_n": max_n,
                   "checks_run": len(results), "discrepancies": bad}
@@ -142,7 +142,6 @@ def _cmd_verify(args) -> int:
         return 0 if not bad else 1
 
     if args.suite == "formulas":
-        max_n = 318 if args.max_n is None else args.max_n
         start = time.monotonic()
         bad = checks.cross_check(max_n, what="--max-n")
         elapsed_ms = int((time.monotonic() - start) * 1000)
@@ -154,11 +153,12 @@ def _cmd_verify(args) -> int:
             _print_discrepancies(bad)
         return 0 if not bad else 1
 
-    # random
-    max_n = 8 if args.max_n is None else check_size(args.max_n, what="--max-n")
+    # random: random_checks checks the cap of --max-n, and its floor is checked
+    # here too, so that a bad --max-n is named before a bad --cases
+    check_size(max_n, what="--max-n")
     seed = 0 if args.seed is None else args.seed
     cases = 1000 if args.cases is None else check_size(args.cases, what="--cases")
-    failures, skipped = checks.random_checks(max_n, seed, cases)
+    failures, skipped = checks.random_checks(max_n, seed, cases, what="--max-n")
     report = {"suite": "random", "seed": seed, "cases": cases, "failures": failures}
     if skipped:
         report["skipped"] = skipped
@@ -171,20 +171,16 @@ def _cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+def _base_values(text: str) -> list:
+    import json
+
+    return _json_values(json.loads(text), "values")[0]  # ratio_report checks them
+
+
 def _cmd_asym(args) -> int:
-    max_n = check_size(args.max_n, high=MAX_CHAIN_ORDER, what="--max-n")
-    base = None
-    if args.unlabeled_base:  # ratio_report checks the values
-        import json
-
-        def values(text: str):
-            data = json.loads(text)
-            if not isinstance(data, dict) or "values" not in data:
-                raise MalformedInput('must be a JSON object with a "values" list')
-            return data["values"]
-
-        base = load_file(args.unlabeled_base, values)
-    report = ratio_report(max_n, unlabeled_base=base)
+    path = args.unlabeled_base  # read by ratio_report once --max-n has passed its check
+    base = (lambda: load_file(path, _base_values)) if path else None
+    report = ratio_report(args.max_n, unlabeled_base=base, what="--max-n")
     if args.format == "json":
         _emit_json(report.to_json())
     else:
@@ -235,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["identities", "formulas", "random"])
-    p.add_argument("--max-n", type=int, default=None,
-                   help="largest size (default: identities 6, formulas 318, random 8)")
+    p.add_argument("--max-n", type=int, default=None, help="largest size (default: " + ", ".join(
+        f"{suite} {n}" for suite, n in _VERIFY_MAX_N.items()) + ")")
     p.add_argument("--seed", type=int, help="random suite only (default: 0)")
     p.add_argument("--cases", type=int, help="random suite only (default: 1000)")
     p.add_argument("--format", choices=["text", "json"], default="json")

@@ -95,8 +95,8 @@ def size_cap(tag: ClassTag, unlabeled: bool = False) -> int:
     return SPLIT_MAX_N if wide else CENSUS_MAX_N
 
 
-def _check_limit(n: int, tag: ClassTag, unlabeled: bool = False):
-    check_size(n, high=size_cap(tag, unlabeled), what=f"{tag.value} size")
+def _check_limit(n: int, tag: ClassTag, unlabeled: bool = False, what: str | None = None):
+    check_size(n, high=size_cap(tag, unlabeled), what=what or f"{tag.value} size")
 
 
 def _edge_count(n: int) -> int:
@@ -519,7 +519,8 @@ def _json_tails(n: int, colored: bool) -> list[str]:
             f'"red":[{",".join(map(str, bits_of(full ^ g)))}]}}' for g in range(1 << n)]
 
 
-def enumerate_labeled(n: int, tag: ClassTag, *, lines: bool = False) -> Iterator:
+def enumerate_labeled(n: int, tag: ClassTag, *, lines: bool = False,
+                      what: str | None = None) -> Iterator:
     """Yield each labeled structure of the class exactly once, in a fixed order.
 
     Graphs come in ascending edge-word order; colored split graphs per graph
@@ -531,8 +532,11 @@ def enumerate_labeled(n: int, tag: ClassTag, *, lines: bool = False) -> Iterator
     With ``lines``, yield each structure's ``to_json()`` as the sorted
     compact JSON encoder prints it, built from the key alone: the text of
     each byte of the edge word, then that of the green mask.
+
+    Before the first structure, n is checked against ``size_cap(tag)``
+    under the name ``what`` (default: the class's name and "size").
     """
-    _check_limit(n, tag)
+    _check_limit(n, tag, what=what)
     keys = _labeled_keys(n, tag)
     colored = tag in _TWO_COLORED_TAGS
     shift = n if colored else 0

@@ -528,6 +528,24 @@ def test_count_refuses_past_its_route_cap_before_any_count(capsys, monkeypatch, 
     assert (code, out, err) == (3, "", f"error: --max-n is capped at {cap}, got {argv[-1]}\n")
 
 
+@pytest.mark.parametrize("module, name, argv, line", [
+    ("graphs", "make_graph", ["verify", "--suite", "random", "--max-n", "9"],
+     "error: --max-n is capped at 8, got 9"),
+    ("enumeration", "_split_table", ["enumerate", "--class", "split", "--n", "9"],
+     "error: --n is capped at 8, got 9"),
+], ids=["verify-random", "enumerate-split"])
+def test_a_size_past_its_cap_is_refused_before_any_work(capsys, monkeypatch, module, name,
+                                                        argv, line):
+    """``verify --suite random`` and ``enumerate`` check their size flag
+    against the cap of the library call that serves them, under the flag's
+    name, before they build a graph or a table."""
+    def refuse(*args):
+        raise AssertionError(f"{name} ran before the size was checked")
+
+    monkeypatch.setattr(f"splitspecies.{module}.{name}", refuse)
+    assert run_cli(capsys, *argv) == (3, "", line + "\n")
+
+
 def test_verify_seed_and_cases_belong_to_the_random_suite(capsys, monkeypatch):
     """``--seed`` and ``--cases`` mean something only to the random suite:
     given to another, either is a usage error that names it, before any check
@@ -592,12 +610,15 @@ def test_asym_json_with_unlabeled_base(capsys):
     assert len(data["rows"]) == 6 and len(data["unlabeled_rows"]) == 7
 
 
-@pytest.mark.parametrize("content", ["[1, 5, 2]", "{}"], ids=["bare-list", "no-values"])
-def test_asym_base_without_values_object_names_the_shape(capsys, tmp_path, content):
+@pytest.mark.parametrize("content, message", [
+    ("[1, 5, 2]", "expected a JSON object with the keys values, got a list"),
+    ("{}", 'the JSON object has no key "values"'),
+], ids=["bare-list", "no-values"])
+def test_asym_base_without_values_object_names_the_shape(capsys, tmp_path, content, message):
     path = write_graph(tmp_path, "base.json", content)
     code, out, err = run_cli(capsys, "asym", "--max-n", "3", "--unlabeled-base", path)
     assert code == 3 and out == ""
-    assert err == f'error: {path}: must be a JSON object with a "values" list\n'
+    assert err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -724,11 +745,13 @@ BAD_INVOCATIONS = {
     "count-balanced-past-oracle-cap-n": (
         ["count", "--class", "balanced", "--unlabeled", "--n", "8"], None, 3),
     "enumerate-negative-n": (["enumerate", "--class", "split", "--n", "-1"], None, 3),
+    "enumerate-past-cap-n": (["enumerate", "--class", "bicolored", "--n", "8"], None, 3),
     "enumerate-format-option": (
         ["enumerate", "--class", "split", "--n", "3", "--format", "jsonl"], None, 2),
     "verify-negative-max-n": (["verify", "--suite", "identities", "--max-n", "-1"], None, 3),
     "verify-negative-cases": (["verify", "--suite", "random", "--cases", "-5"], None, 3),
     "verify-identities-past-census": (["verify", "--suite", "identities", "--max-n", "8"], None, 3),
+    "verify-random-past-cap-max-n": (["verify", "--suite", "random", "--max-n", "9"], None, 3),
     "asym-negative-max-n": (["asym", "--max-n", "-1"], None, 3),
     "asym-bits-option": (["asym", "--max-n", "5", "--bits", "256"], None, 2),
     "asym-base-zero": (["asym", "--max-n", "3", "--unlabeled-base", "{file}"],
@@ -766,7 +789,7 @@ def test_bad_invocations_exit_with_documented_codes(capsys, tmp_path, case):
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         if case.endswith("-max-n"):  # a bad size names the flag that gave it
             assert err.startswith("error: --max-n ")
-        elif case.endswith("-cap-n"):
+        elif case.endswith("-n"):
             assert err.startswith("error: --n ")
     else:
         assert "usage:" in err and ("is required" in err or "unrecognized arguments" in err)

@@ -93,6 +93,26 @@ def test_only_the_command_line_imports_time():
     assert found == []
 
 
+def test_the_command_line_keeps_no_size_cap():
+    """Each size flag is checked against its cap by the library call that
+    serves its command, so ``cli`` names no cap and gives ``check_size`` no
+    ``high=``; it may check a floor."""
+    caps = {"CENSUS_MAX_N", "SPLIT_MAX_N", "MAX_CHAIN_ORDER", "MAX_FORMULA_N", "size_cap"}
+    path = PACKAGE_DIR / "cli.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and caps & {alias.name for alias in node.names}:
+            found.add(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "check_size"
+              and any(k.arg == "high" for k in node.keywords)):
+            found.add(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id in caps
+              or isinstance(node, ast.Attribute) and node.attr in caps):
+            found.add(node.lineno)
+    assert [f"cli.py:{line}" for line in sorted(found)] == []
+
+
 def _package_imports(path: pathlib.Path) -> set[str]:
     """The package modules one module imports, at module level or inside functions."""
     found = set()
